@@ -20,7 +20,8 @@ from .ekgamma import (CacheCorruption, ConductorCache, ConductorTotal,
 from .experiments import (EhProbeRecord, MeanStatistic, RangeStatistic,
                           RatioBin, ScanRecord, dyadic_mean, eh_probe, emit,
                           parse_scan_csv, ratio_histogram, render,
-                          residue_sum_check, scan_range, theorem_statistic)
+                          residue_sum_check, residue_sum_checks, scan_range,
+                          theorem_statistic)
 from .lseries import LValueRecord, l_at_one, l_prime_at_one, l_values, phi_chi
 from .sieve import (MAX_TABLE_BOUND, ArithmeticTables, CapacityError,
                     build_tables, divisors, mobius, psi, psi_mod,
@@ -42,8 +43,8 @@ __all__ = [
     "conductor_total", "gamma_q", "gamma_q_from_prime_sums", "precision_tag",
     "EhProbeRecord", "MeanStatistic", "RangeStatistic", "RatioBin",
     "ScanRecord", "dyadic_mean", "eh_probe", "emit", "parse_scan_csv",
-    "ratio_histogram", "render", "residue_sum_check", "scan_range",
-    "theorem_statistic",
+    "ratio_histogram", "render", "residue_sum_check", "residue_sum_checks",
+    "scan_range", "theorem_statistic",
     "LValueRecord", "l_at_one", "l_prime_at_one", "l_values", "phi_chi",
     "MAX_TABLE_BOUND", "ArithmeticTables", "CapacityError", "build_tables",
     "divisors", "mobius", "psi", "psi_mod", "psi_mod_stream", "psi_stream",

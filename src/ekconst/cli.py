@@ -19,7 +19,7 @@ from dataclasses import asdict
 from .decomp import decompose
 from .ekgamma import CacheCorruption, ConductorCache, gamma_q
 from .experiments import (dyadic_mean, eh_probe, emit, render,
-                          residue_sum_check, scan_range, theorem_statistic)
+                          residue_sum_checks, scan_range, theorem_statistic)
 from .sieve import MAX_TABLE_BOUND, build_tables
 from .stieltjes import DEFAULT_EM_TERMS
 
@@ -50,6 +50,17 @@ def _err(message: str) -> None:
 
 def _open_cache(cache_dir) -> ConductorCache:
     return ConductorCache(ConductorCache.default_path(cache_dir))
+
+
+def _workers(args) -> int | None:
+    """--workers, defaulting to the core count; None (after an error
+    message) when it is below 1."""
+    workers = args.workers if args.workers is not None else (os.cpu_count()
+                                                             or 1)
+    if workers < 1:
+        _err(f"workers must be >= 1, got {workers}")
+        return None
+    return workers
 
 
 def cmd_gamma(args) -> int:
@@ -123,10 +134,8 @@ def cmd_scan(args) -> int:
     if args.Q < 2:
         _err(f"Q must be >= 2, got {args.Q}")
         return EXIT_USAGE
-    workers = args.workers if args.workers is not None else (os.cpu_count()
-                                                             or 1)
-    if workers < 1:
-        _err(f"workers must be >= 1, got {workers}")
+    workers = _workers(args)
+    if workers is None:
         return EXIT_USAGE
     cache = _open_cache(args.cache_dir)
     records = scan_range(args.Q, cache, args.em_terms, workers)
@@ -177,20 +186,21 @@ def cmd_probe(args) -> int:
     if args.per_m_out is not None and args.out is None:
         _err("--per-m-out requires --out")
         return EXIT_USAGE
+    workers = _workers(args)
+    if workers is None:
+        return EXIT_USAGE
     tables = build_tables(int(bound))
     probe = eh_probe(x, args.epsilon, tables,
-                     prime_powers=args.prime_powers)
+                     prime_powers=args.prime_powers, workers=workers)
     checked = min(probe.m_max, SELF_CHECK_MODULI)
     tolerance = SELF_CHECK_TOL * max(1.0, x / SELF_CHECK_BASE_X)
-    worst = 0.0
-    for m in range(1, checked + 1):
-        lhs, rhs = residue_sum_check(m, x, tables,
-                                     prime_powers=args.prime_powers)
-        worst = max(worst, abs(lhs - rhs))
+    checks = residue_sum_checks(range(1, checked + 1), x, tables,
+                                prime_powers=args.prime_powers)
+    worst = max(abs(lhs - rhs) for lhs, rhs in checks)
     ok = worst <= tolerance
     print(f"# ekconst probe x={_g(x)} epsilon={_g(args.epsilon)} "
           f"bound={bound} prime_powers={args.prime_powers} "
-          f"format={args.format}")
+          f"workers={workers} format={args.format}")
     print(f"# m_max={probe.m_max} total={_g(probe.total)} "
           f"selfcheck={'ok' if ok else 'FAILED'} checked_m={checked} "
           f"worst={worst:.3e} tolerance={tolerance:.3e}")
@@ -255,6 +265,11 @@ def _add_cache_options(sub) -> None:
                           "$EKCONST_CACHE_DIR or ~/.cache/ekconst)")
 
 
+def _add_workers_option(sub, what: str) -> None:
+    sub.add_argument("--workers", type=int, default=None,
+                     help=f"parallel {what} workers (default: cpu count)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ekconst",
@@ -294,9 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "summary to stderr)")
     p_scan.add_argument("--format", choices=("csv", "json", "plotdata"),
                         default="csv")
-    p_scan.add_argument("--workers", type=int, default=None,
-                        help="parallel conductor workers (default: cpu "
-                             "count)")
+    _add_workers_option(p_scan, "conductor")
     _add_cache_options(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
@@ -316,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--bound", type=int, default=None,
                          help="sieve table bound (default: "
                               f"max({DEFAULT_SIEVE_BOUND}, x))")
+    _add_workers_option(p_probe, "level")
     p_probe.set_defaults(func=cmd_probe)
 
     p_cache = sub.add_parser("cache", help="conductor cache management")

@@ -4,10 +4,11 @@ Everything drives entry() in-process with an isolated --cache-dir, matching
 exactly what the console script would do.
 """
 import math
+import os
 
 import pytest
 
-from ekconst import parse_scan_csv
+from ekconst import experiments, parse_scan_csv
 from ekconst.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                          entry)
 
@@ -193,6 +194,45 @@ def test_probe_usage_errors(tmp_path, capsys):
     assert code == EXIT_USAGE
     code, _, _ = _run(capsys, "probe", "1000", "--bound", "500")
     assert code == EXIT_USAGE
+    code, _, err = _run(capsys, "probe", "1000", "--workers", "0")
+    assert code == EXIT_USAGE
+    assert "workers must be >= 1" in err
+
+
+def test_probe_workers_default_is_cpu_count(capsys):
+    code, out, _ = _run(capsys, "probe", "1000", "--bound", "10000")
+    assert code == EXIT_OK
+    header = out.splitlines()[0]
+    assert header.startswith("# ekconst probe ")
+    assert f" workers={os.cpu_count() or 1} " in header
+
+
+def test_probe_worker_counts_byte_identical(tmp_path, capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        main = tmp_path / f"probe_{workers}.csv"
+        per_m = tmp_path / f"per_m_{workers}.csv"
+        code, out, _ = _run(capsys, "probe", "1e5", "--out", str(main),
+                            "--per-m-out", str(per_m), "--workers", workers)
+        assert code == EXIT_OK
+        summary = [ln for ln in out.splitlines() if ln.startswith("# m_max=")]
+        outputs.append((main.read_bytes(), per_m.read_bytes(), summary))
+    assert outputs[0] == outputs[1]
+
+
+def test_probe_selfcheck_failure_detected(monkeypatch, capsys):
+    real = experiments._coprime_class_sums
+
+    def corrupted(arr, w, m):
+        sums = real(arr, w, m)
+        if m == 7:
+            sums[2] += 1e-3      # one bucket of one level <= 50
+        return sums
+
+    monkeypatch.setattr(experiments, "_coprime_class_sums", corrupted)
+    code, out, _ = _run(capsys, "probe", "1e4", "--workers", "1")
+    assert code == EXIT_CHECK_FAILED
+    assert "selfcheck=FAILED" in out
 
 
 # ------------------------------------------------------------------ cache

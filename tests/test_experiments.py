@@ -1,4 +1,5 @@
 """Dyadic-range experiments, probes and serialization."""
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from ekconst import (EhProbeRecord, RatioBin, ScanRecord, build_tables,
                      dyadic_mean, eh_probe, emit, gamma_q, parse_scan_csv,
                      psi, ratio_histogram, render, residue_sum_check,
-                     scan_range, theorem_statistic)
+                     residue_sum_checks, scan_range, theorem_statistic)
 from ekconst.experiments import (HISTOGRAM_HEADER, PER_M_HEADER,
                                  PROBE_HEADER, SCAN_HEADER)
 
@@ -197,6 +198,56 @@ def test_residue_sum_check_prime_powers(tables_small):
     assert lhs == pytest.approx(rhs, abs=1e-9)
     with pytest.raises(ValueError):
         residue_sum_check(0, 1e4, tables_small)
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
+def test_eh_probe_parallel_equals_serial(tables_small, prime_powers):
+    serial = eh_probe(1e5, 0.5, tables_small, prime_powers, workers=1)
+    pooled = eh_probe(1e5, 0.5, tables_small, prime_powers, workers=2)
+    assert pooled.per_m == serial.per_m
+    assert pooled.total == serial.total
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
+def test_uint32_and_int64_residues_agree(tables_small, prime_powers):
+    # a table bound of 2**32 keeps the residue base in int64
+    wide = dataclasses.replace(tables_small, bound=2**32)
+    narrow = eh_probe(1e5, 0.5, tables_small, prime_powers)
+    assert eh_probe(1e5, 0.5, wide, prime_powers) == narrow
+    levels = range(1, 60)
+    assert (residue_sum_checks(levels, 1e5, wide, prime_powers)
+            == residue_sum_checks(levels, 1e5, tables_small, prime_powers))
+
+
+def _gcd_filter_rhs(m, x, tables, prime_powers=False):
+    """Right side of the residue-sum identity by a gcd filter over every
+    weighted integer <= x; shares no code with residue_sum_checks."""
+    if prime_powers:
+        base, logs = tables.prime_powers, tables.prime_power_logs
+    else:
+        base, logs = tables.primes, tables.lam[tables.primes]
+    keep = (base <= x) & (np.gcd(base, m) == 1)
+    return math.fsum(logs[keep].tolist()) - psi(tables, x)
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
+def test_residue_sum_checks_match_gcd_filter_oracle(tables_small,
+                                                    prime_powers):
+    levels = range(1, 201)
+    checks = residue_sum_checks(levels, 1e5, tables_small, prime_powers)
+    for m, (lhs, rhs) in zip(levels, checks):
+        oracle = _gcd_filter_rhs(m, 1e5, tables_small, prime_powers)
+        assert rhs == pytest.approx(oracle, abs=1e-9), m
+        assert lhs == pytest.approx(rhs, abs=1e-8), m
+        assert residue_sum_check(m, 1e5, tables_small, prime_powers) == \
+            (lhs, rhs)
+
+
+def test_residue_sum_checks_validation(tables_small):
+    with pytest.raises(ValueError):
+        residue_sum_checks([3, 0], 1e4, tables_small)
+    with pytest.raises(ValueError):
+        residue_sum_checks([3], 1e6, tables_small)
 
 
 # -------------------------------------------------------------- emission
