@@ -24,7 +24,7 @@ from .experiments import (EhProbeRecord, MeanStatistic, RangeStatistic,
                           theorem_statistic)
 from .lseries import LValueRecord, l_at_one, l_prime_at_one, l_values, phi_chi
 from .sieve import (MAX_TABLE_BOUND, ArithmeticTables, CapacityError,
-                    build_tables, divisors, mobius, psi, psi_mod,
+                    build_tables, divisors, factorize, mobius, psi, psi_mod,
                     psi_mod_stream, psi_stream, totient)
 from .stieltjes import (DEFAULT_EM_TERMS, EULER_GAMMA, PrecisionError,
                         StieltjesPair, digamma_rational, stieltjes01,
@@ -47,7 +47,7 @@ __all__ = [
     "scan_range", "theorem_statistic",
     "LValueRecord", "l_at_one", "l_prime_at_one", "l_values", "phi_chi",
     "MAX_TABLE_BOUND", "ArithmeticTables", "CapacityError", "build_tables",
-    "divisors", "mobius", "psi", "psi_mod", "psi_mod_stream", "psi_stream",
+    "divisors", "factorize", "mobius", "psi", "psi_mod", "psi_mod_stream", "psi_stream",
     "totient",
     "DEFAULT_EM_TERMS", "EULER_GAMMA", "PrecisionError", "StieltjesPair",
     "digamma_rational", "stieltjes01", "stieltjes_pair_table",

@@ -16,6 +16,8 @@ from functools import reduce
 
 import numpy as np
 
+from .sieve import factorize
+
 
 @dataclass(frozen=True)
 class Component:
@@ -178,26 +180,9 @@ def primitive_characters(group: CharacterGroup) -> list[DirichletCharacter]:
     return [c for c in enumerate_characters(group) if c.is_primitive]
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def _primitive_root(p: int, k: int) -> int:
     """Smallest primitive root mod p, adjusted to generate mod p^k."""
-    fac = [r for r, _ in _factorize(p - 1)]
+    fac = [r for r, _ in factorize(p - 1)]
     g = 2
     while True:
         if all(pow(g, (p - 1) // r, p) != 1 for r in fac):
@@ -220,7 +205,7 @@ def _crt_lift(residue: int, level: int, modulus: int) -> int:
 
 def _components(modulus: int) -> tuple[Component, ...]:
     comps: list[Component] = []
-    for p, k in _factorize(modulus):
+    for p, k in factorize(modulus):
         level = p**k
         if p == 2:
             if k == 1:

@@ -63,7 +63,7 @@ import numpy as np
 
 from .accum import fsum_array
 from .ekgamma import ConductorCache, gamma_q
-from .sieve import ArithmeticTables, divisors, mobius, totient
+from .sieve import ArithmeticTables, divisors, factorize, mobius, totient
 from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
 
 
@@ -109,19 +109,9 @@ def _prime_powers_upto(tables: ArithmeticTables, limit: float):
     return tables.prime_powers[:k], tables.prime_power_logs[:k]
 
 
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
+def _lambda_at(tables: ArithmeticTables, n: int) -> float:
+    """Lambda(n) for a prime power n <= tables.bound, read from the table."""
+    return tables.prime_power_logs[np.searchsorted(tables.prime_powers, n)]
 
 
 def mobius_layer_sum(d: int, p: int, q: int) -> int:
@@ -161,15 +151,13 @@ def conductor_correction(q: int, x: float, tables: ArithmeticTables) -> float:
     if x <= 1 or x > tables.bound:
         raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
     terms = []
-    for p in _distinct_prime_factors(q):
-        r = q
-        while r % p == 0:
-            r //= p
+    for p, e in factorize(q):
+        r = q // p**e
         w = float(totient(r))
         n = p
         while n <= x:
             if (n - 1) % r == 0:
-                terms.append(w * tables.lam[n] * (x - n) / n)
+                terms.append(w * _lambda_at(tables, n) * (x - n) / n)
             n *= p
     return -math.fsum(terms) / (x - 1.0)
 
@@ -181,10 +169,10 @@ def ramified_term(q: int, x: float, tables: ArithmeticTables) -> float:
     if x <= 1 or x > tables.bound:
         raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
     terms = []
-    for p in _distinct_prime_factors(q):
+    for p, _ in factorize(q):
         n = p
         while n <= x:
-            terms.append(tables.lam[n] * (x - n) / n)
+            terms.append(_lambda_at(tables, n) * (x - n) / n)
             n *= p
     return math.fsum(terms) / (x - 1.0)
 
@@ -200,7 +188,7 @@ def progression_term(q: int, x: float, tables: ArithmeticTables) -> float:
     vals = lg * np.log(x / pp)
     full = fsum_array(vals)
     prog = fsum_array(vals[pp % q == 1 % q])
-    return (int(tables.phi[q]) * prog - full) / (x - 1.0)
+    return (totient(q) * prog - full) / (x - 1.0)
 
 
 def window_term(q: int, x: float, x_split: float, tables: ArithmeticTables,
@@ -233,7 +221,7 @@ def window_term(q: int, x: float, x_split: float, tables: ArithmeticTables,
     vals = lg * jw
     full = fsum_array(vals)
     prog = fsum_array(vals[pp % q == 1 % q])
-    return (int(tables.phi[q]) * prog - full) / (x - 1.0)
+    return (totient(q) * prog - full) / (x - 1.0)
 
 
 def primitive_phi_sum(d: int, x: float, tables: ArithmeticTables) -> float:
@@ -253,10 +241,10 @@ def primitive_phi_sum(d: int, x: float, tables: ArithmeticTables) -> float:
         return 0.0
     weight = np.zeros(pp.size, dtype=np.int64)
     for e in divisors(d):
-        me = int(tables.mu[d // e])
+        me = mobius(d // e)
         if me == 0:
             continue
-        weight += (int(tables.phi[e]) * me) * (pp % e == 1 % e)
+        weight += (totient(e) * me) * (pp % e == 1 % e)
     weight[np.gcd(pp, d) != 1] = 0
     return fsum_array(lg * (x - pp) / pp * weight) / (x - 1.0)
 

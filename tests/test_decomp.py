@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ekconst import (EULER_GAMMA, build_group, conductor_correction,
-                     decompose, divisors, gamma_q, l_values, layer_weight,
-                     mobius_layer_sum, phi_chi, primitive_characters,
-                     primitive_phi_sum, progression_term, proxy_defect,
-                     psi, psi_mod, ramified_term, totient, window_term)
+from ekconst import (EULER_GAMMA, build_group, build_tables,
+                     conductor_correction, decompose, divisors, gamma_q,
+                     l_values, layer_weight, mobius_layer_sum, phi_chi,
+                     primitive_characters, primitive_phi_sum,
+                     progression_term, proxy_defect, psi, psi_mod,
+                     ramified_term, totient, window_term)
 
 
 def _prime_powers(tables, hi):
@@ -94,7 +95,7 @@ def _b_brute_character_sum(q, x, tables):
         while n <= x:
             s = sum(chi.evaluate(n) for chi in chars)
             assert abs(s.imag) < 1e-12
-            terms.append(tables.lam[n] * (x - n) / n * s.real)
+            terms.append(math.log(p) * (x - n) / n * s.real)
             n *= p
     return -math.fsum(terms) / (x - 1.0)
 
@@ -160,6 +161,16 @@ def test_progression_term_direct_enumeration(tables_small):
     want = (totient(q) * math.fsum(prog) - math.fsum(full)) / (x - 1.0)
     assert progression_term(q, x, tables_small) == pytest.approx(want,
                                                                  abs=1e-12)
+
+
+def test_terms_accept_modulus_above_table_bound():
+    # only x is bounded by the table; q and d may exceed it
+    small, large = build_tables(1000), build_tables(2000)
+    for q in (1009, 1500, 1998):
+        assert (progression_term(q, 500.0, small)
+                == progression_term(q, 500.0, large)), q
+        assert (primitive_phi_sum(q, 500.0, small)
+                == primitive_phi_sum(q, 500.0, large)), q
 
 
 def test_progression_term_mod_one_vanishes(tables_small):

@@ -225,7 +225,8 @@ def _gcd_filter_rhs(m, x, tables, prime_powers=False):
     if prime_powers:
         base, logs = tables.prime_powers, tables.prime_power_logs
     else:
-        base, logs = tables.primes, tables.lam[tables.primes]
+        base = tables.primes
+        logs = np.log(base.astype(np.float64))
     keep = (base <= x) & (np.gcd(base, m) == 1)
     return math.fsum(logs[keep].tolist()) - psi(tables, x)
 

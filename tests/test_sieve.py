@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekconst import (CapacityError, build_tables, divisors, mobius, psi,
-                     psi_mod, psi_mod_stream, psi_stream, totient)
-from ekconst.sieve import MAX_TABLE_BOUND
+from ekconst import (CapacityError, build_tables, divisors, factorize, mobius,
+                     psi, psi_mod, psi_mod_stream, psi_stream, totient)
+from ekconst.sieve import MAX_TABLE_BOUND, STREAM_SEGMENT, _small_primes
 
 
 def _factor(n):
@@ -41,18 +41,53 @@ def tables():
     return build_tables(3000)
 
 
-def test_table_columns_against_trial_division(tables):
+def test_factorization_functions_against_trial_division():
     for n in range(1, 2001):
         f = _factor(n)
-        assert tables.lam[n] == pytest.approx(_lam_ref(n), abs=1e-15), n
-        assert tables.mu[n] == (0 if any(e > 1 for e in f.values())
-                                else (-1) ** len(f)), n
+        assert factorize(n) == sorted(f.items()), n
+        assert mobius(n) == (0 if any(e > 1 for e in f.values())
+                             else (-1) ** len(f)), n
         phi_ref = n
         for p in f:
             phi_ref = phi_ref // p * (p - 1)
-        assert tables.phi[n] == phi_ref, n
-        if n > 1:
-            assert tables.spf[n] == min(f), n
+        assert totient(n) == phi_ref, n
+        div_ref = [1]
+        for p, e in f.items():
+            div_ref = [d * p**k for d in div_ref for k in range(e + 1)]
+        assert divisors(n) == sorted(div_ref), n
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+@given(st.integers(min_value=1, max_value=10**12))
+@settings(max_examples=60, deadline=None)
+def test_factorize_reconstructs_with_ascending_prime_bases(n):
+    fac = factorize(n)
+    assert math.prod(p**e for p, e in fac) == n
+    bases = [p for p, _ in fac]
+    assert bases == sorted(set(bases))
+    assert all(_is_prime(p) for p in bases)
+    assert all(e >= 1 for _, e in fac)
+
+
+@pytest.mark.parametrize("n", [0, -1, -12])
+def test_factorize_rejects_nonpositive(n):
+    with pytest.raises(ValueError):
+        factorize(n)
+
+
+@pytest.mark.parametrize("bound", [2, 3, STREAM_SEGMENT - 1, STREAM_SEGMENT,
+                                   STREAM_SEGMENT + 1, STREAM_SEGMENT + 2,
+                                   2 * STREAM_SEGMENT + 7])
+def test_segmented_primes_match_plain_sieve(bound):
+    # segments [2 + k*S, 2 + (k+1)*S) with S = STREAM_SEGMENT: the first one
+    # ends two, one or no places past the bound, or the bound opens a
+    # second (length 1) or a third segment
+    primes = build_tables(bound).primes
+    assert primes.dtype == np.int64
+    assert np.array_equal(primes, _small_primes(bound))
 
 
 def test_prime_listing(tables):
