@@ -15,7 +15,7 @@ from .decomp import (DecompositionReport, conductor_correction, decompose,
                      progression_term, proxy_defect, ramified_term,
                      window_term)
 from .ekgamma import (CacheCorruption, ConductorCache, ConductorTotal,
-                      GammaQ, conductor_total, gamma_q,
+                      GammaQ, conductor_total, conductor_totals, gamma_q,
                       gamma_q_from_prime_sums, precision_tag)
 from .experiments import (EhProbeRecord, MeanStatistic, RangeStatistic,
                           RatioBin, ScanRecord, dyadic_mean, eh_probe, emit,
@@ -40,7 +40,8 @@ __all__ = [
     "layer_weight", "mobius_layer_sum", "primitive_phi_sum",
     "progression_term", "proxy_defect", "ramified_term", "window_term",
     "CacheCorruption", "ConductorCache", "ConductorTotal", "GammaQ",
-    "conductor_total", "gamma_q", "gamma_q_from_prime_sums", "precision_tag",
+    "conductor_total", "conductor_totals", "gamma_q",
+    "gamma_q_from_prime_sums", "precision_tag",
     "EhProbeRecord", "MeanStatistic", "RangeStatistic", "RatioBin",
     "ScanRecord", "dyadic_mean", "eh_probe", "emit", "parse_scan_csv",
     "ratio_histogram", "render", "residue_sum_check", "residue_sum_checks",

@@ -46,11 +46,7 @@ class CharacterGroup:
         # component varies fastest; dlog inverts it on unit residues.
         grid = np.array([1 if modulus > 1 else 0], dtype=np.int64)
         for comp in self.components:
-            powers = np.empty(comp.order, dtype=np.int64)
-            acc = 1
-            for j in range(comp.order):
-                powers[j] = acc
-                acc = (acc * comp.generator) % modulus
+            powers = _powers(comp.generator, comp.order, modulus)
             grid = (grid[:, None] * powers[None, :]) % modulus
             grid = grid.reshape(-1)
         self.unit_grid = grid.reshape(self.orders or (1,))
@@ -178,6 +174,26 @@ def principal_character(group: CharacterGroup) -> DirichletCharacter:
 
 def primitive_characters(group: CharacterGroup) -> list[DirichletCharacter]:
     return [c for c in enumerate_characters(group) if c.is_primitive]
+
+
+def _powers(g: int, order: int, modulus: int) -> np.ndarray:
+    """g^j mod modulus for j = 0..order-1, read row by row from a table
+    whose row i, column k holds g^(width*i) * g^k mod modulus, with width =
+    ceil(sqrt(order)): only about 2*width powers are taken in Python ints.
+    The products stay below modulus^2, as in the unit-grid product."""
+    width = math.isqrt(order - 1) + 1
+    low = np.array(_geometric(g, width, modulus), dtype=np.int64)
+    high = np.array(_geometric(pow(g, width, modulus), -(-order // width),
+                               modulus), dtype=np.int64)
+    return (high[:, None] * low[None, :] % modulus).reshape(-1)[:order]
+
+
+def _geometric(g: int, n: int, modulus: int) -> list[int]:
+    """[1, g, g^2, ..., g^(n-1)] mod modulus."""
+    out = [1] * n
+    for j in range(1, n):
+        out[j] = out[j - 1] * g % modulus
+    return out
 
 
 def _primitive_root(p: int, k: int) -> int:

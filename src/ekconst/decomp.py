@@ -260,12 +260,9 @@ def proxy_defect(q: int, x: float, tables: ArithmeticTables,
         raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
     if cache is None:
         cache = ConductorCache()
-    parts = []
-    for d in divisors(q):
-        if d == 1:
-            continue
-        parts.append(cache.get_or_compute(d, n_terms).total)
-        parts.append(primitive_phi_sum(d, x, tables))
+    conductors = divisors(q)[1:]
+    parts = [rec.total for rec in cache.fill(conductors, n_terms)]
+    parts.extend(primitive_phi_sum(d, x, tables) for d in conductors)
     return math.fsum(parts)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .decomp import DecompositionReport
-from .ekgamma import ConductorCache, conductor_total, gamma_q
+from .ekgamma import ConductorCache, conductor_totals, gamma_q
 from .sieve import ArithmeticTables, divisors, factorize, psi
 from .stieltjes import DEFAULT_EM_TERMS
 
@@ -34,6 +34,11 @@ FORMATS = ("csv", "json", "plotdata")
 
 #: Histogram support for gamma_q / log q; mass concentrates at 1.
 RATIO_RANGE = (0.0, 2.0)
+
+#: Interleaved chunks per pool worker, of probe levels or of scan
+#: conductors. Interleaving gives every chunk about the same cost, so more
+#: chunks only even out cores that run at different speeds.
+CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,11 @@ def scan_range(block: int, cache: ConductorCache | None = None,
                workers: int | None = 1) -> list[ScanRecord]:
     """One record per q in (block, 2*block], ascending.
 
-    Missing conductor totals are computed first (in parallel when workers
-    > 1; they are independent pure functions), then every gamma_q is
+    The conductor totals the cache lacks are computed first, by
+    conductor_totals, which evaluates the special functions for many
+    conductors in one batch. With workers > 1 the missing conductors go to
+    a process pool in CHUNKS_PER_WORKER interleaved blocks per worker, one
+    batch each; they are independent pure functions. Then every gamma_q is
     assembled from the cache, so records are reproducible bit for bit from
     a warm cache.
     """
@@ -89,16 +97,18 @@ def scan_range(block: int, cache: ConductorCache | None = None,
     if cache is None:
         cache = ConductorCache()
     qs = range(block + 1, 2 * block + 1)
-    missing = sorted({d for q in qs for d in divisors(q)
-                      if d > 1 and cache.get(d, n_terms) is None})
+    conductors = sorted({d for q in qs for d in divisors(q)[1:]})
+    missing = [d for d in conductors if cache.get(d, n_terms) is None]
     if workers is not None and workers > 1 and len(missing) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            worker = partial(conductor_total, n_terms=n_terms)
-            for rec in pool.map(worker, missing, chunksize=16):
-                cache.put(rec)
+        n_chunks = min(len(missing), workers * CHUNKS_PER_WORKER)
+        chunks = [missing[k::n_chunks] for k in range(n_chunks)]
+        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            totals = partial(conductor_totals, n_terms=n_terms)
+            for part in pool.map(totals, chunks):
+                for rec in part:
+                    cache.put(rec)
     else:
-        for d in missing:
-            cache.put(conductor_total(d, n_terms))
+        cache.fill(missing, n_terms)
     out = []
     for q in qs:
         val = gamma_q(q, cache, n_terms).value
@@ -203,11 +213,6 @@ def _init_level_worker(arr, w, psi_x: float) -> None:
 
 def _pooled_level_errors(levels) -> list[tuple[int, float]]:
     return _level_errors(*_LEVEL_INPUTS, levels)
-
-
-#: Interleaved level chunks per probe worker. Every level costs about the
-#: same, so more chunks only even out cores that run at different speeds.
-CHUNKS_PER_WORKER = 4
 
 
 def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,

@@ -166,7 +166,6 @@ def stieltjes01(
                          err_estimate=err)
 
 
-@lru_cache(maxsize=4096)
 def stieltjes_pair_table(
     q: int, n_terms: int = DEFAULT_EM_TERMS
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -177,8 +176,4 @@ def stieltjes_pair_table(
         raise ValueError(f"n_terms must be >= 10, got {n_terms}")
     x = np.arange(1, q + 1, dtype=np.float64) / q
     c0, c1, err = _em_laurent(x, n_terms)
-    g0 = c0
-    g1 = -c1
-    g0.flags.writeable = False
-    g1.flags.writeable = False
-    return g0, g1, err
+    return c0, -c1, err

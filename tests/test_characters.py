@@ -7,6 +7,7 @@ import pytest
 
 from ekconst import (build_group, conductor_grid, enumerate_characters,
                      primitive_characters, principal_character, totient)
+from ekconst.characters import _conductor
 
 
 def _value_matrix(q):
@@ -110,6 +111,37 @@ def test_conductor_grid_matches_per_character():
             want = chi.conductor
             got = grid[chi.exponents] if chi.exponents else grid.reshape(-1)[0]
             assert got == want, (q, chi.exponents)
+
+
+def _loop_unit_grid(group):
+    """unit_grid and dlog built one power at a time in Python ints."""
+    q = group.modulus
+    grid = [1 if q > 1 else 0]
+    for comp in group.components:
+        powers = []
+        acc = 1
+        for _ in range(comp.order):
+            powers.append(acc)
+            acc = acc * comp.generator % q
+        grid = [u * p % q for u in grid for p in powers]
+    dlog = [-1] * q
+    for rank, u in enumerate(grid):
+        dlog[u] = rank
+    return grid, dlog
+
+
+def test_group_tables_match_loop_construction():
+    # unit_grid and dlog against the power-by-power loop, conductor_grid
+    # against the per-character conductor, for every modulus up to 1500
+    for q in range(1, 1501):
+        group = build_group(q)
+        grid, dlog = _loop_unit_grid(group)
+        assert group.unit_grid.shape == (group.orders or (1,)), q
+        assert group.unit_grid.reshape(-1).tolist() == grid, q
+        assert group.dlog.tolist() == dlog, q
+        want = [_conductor(group, tuple(e))
+                for e in group.exp_vectors.tolist()]
+        assert conductor_grid(group).reshape(-1).tolist() == want, q
 
 
 def test_conductor_partition_counts():

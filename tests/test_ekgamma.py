@@ -1,12 +1,18 @@
 """Euler-Kronecker constants and the on-disk conductor cache."""
 import math
+import os
 
+import numpy as np
 import pytest
 
 from ekconst import (EULER_GAMMA, CacheCorruption, ConductorCache,
-                     ConductorTotal, build_group, conductor_total, gamma_q,
-                     l_values, precision_tag, primitive_characters)
+                     ConductorTotal, build_group, conductor_grid,
+                     conductor_total, conductor_totals, gamma_q, l_values,
+                     precision_tag, primitive_characters, scan_range,
+                     stieltjes_pair_table)
+from ekconst import ekgamma, stieltjes
 from ekconst.ekgamma import CACHE_ENV_VAR, _CACHE_HEADER
+from ekconst.lseries import MIN_ABS_L
 
 
 # ---------------------------------------------------------------- values
@@ -69,6 +75,80 @@ def test_no_primitive_layer_conductor_2_mod_4():
     rec = conductor_total(6)
     assert rec.total == 0.0
     assert rec.imag_residual == 0.0
+
+
+# ------------------------------------------- batched conductor totals
+
+
+def _per_table_total(q, n_terms=50):
+    """One conductor's total from its own full table of gamma_0 and gamma_1
+    at a/q for a = 1..q, indexed at the units: the route conductor_totals
+    replaced, kept as its oracle."""
+    tag = precision_tag(n_terms)
+    if q == 1:
+        return ConductorTotal(q=1, total=0.0, imag_residual=0.0, tag=tag)
+    group = build_group(q)
+    mask = conductor_grid(group) == q
+    if not mask.any():
+        return ConductorTotal(q=q, total=0.0, imag_residual=0.0, tag=tag)
+    g0, g1, _ = stieltjes_pair_table(q, n_terms)
+    grid = group.unit_grid
+    big0 = np.fft.ifftn(g0[grid - 1]) * group.phi
+    big1 = np.fft.ifftn(g1[grid - 1]) * group.phi
+    sel0 = big0[mask]
+    sel1 = big1[mask]
+    assert float(np.min(np.abs(sel0))) / q > MIN_ABS_L
+    logderiv = -math.log(q) - sel1 / sel0
+    return ConductorTotal(q=q, total=math.fsum(logderiv.real.tolist()),
+                          imag_residual=abs(math.fsum(logderiv.imag.tolist())),
+                          tag=tag)
+
+
+def _bits(rec):
+    return (rec.q, rec.total.hex(), rec.imag_residual.hex(), rec.tag)
+
+
+def test_conductor_totals_bit_identical_to_per_conductor_tables():
+    # includes q = 1 and every q = 2 mod 4, which get the zero total
+    got = conductor_totals(range(1, 1501))
+    assert [_bits(r) for r in got] == [_bits(_per_table_total(q))
+                                       for q in range(1, 1501)]
+
+
+def test_conductor_totals_honours_em_terms():
+    qs = [1, 3, 6, 40, 97]
+    got = conductor_totals(qs, n_terms=20)
+    assert [_bits(r) for r in got] == [_bits(_per_table_total(q, 20))
+                                       for q in qs]
+    assert conductor_total(97, 20) == got[-1]
+
+
+def test_conductor_totals_block_boundaries(monkeypatch):
+    # blocks of 7 points split most conductors across several
+    # _em_laurent calls and put several small ones into one
+    default = scan_range(40, ConductorCache(path=None))
+    monkeypatch.setattr(ekgamma, "EM_BLOCK_POINTS", 7)
+    assert scan_range(40, ConductorCache(path=None), workers=1) == default
+    assert scan_range(40, ConductorCache(path=None), workers=2) == default
+
+
+@pytest.mark.parametrize("qs", [[0], [-3], [3, 0, 5], [5, 7, 9, -1]])
+def test_conductor_totals_rejects_conductor_below_one(qs):
+    with pytest.raises(ValueError):
+        conductor_totals(qs)
+
+
+def test_conductor_totals_skip_per_conductor_tables(monkeypatch):
+    # a cold scan and gamma_q must not fall back to full per-conductor
+    # special-function tables
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-conductor table requested")
+    monkeypatch.setattr(stieltjes, "stieltjes_pair_table", refuse)
+    monkeypatch.setattr(ekgamma, "stieltjes_pair_table", refuse,
+                        raising=False)
+    scan_range(64, ConductorCache(path=None))
+    assert gamma_q(997, ConductorCache(path=None)).value == pytest.approx(
+        math.log(997), abs=2.0)
 
 
 def test_gamma_q_rejects_bad_modulus(shared_cache):
@@ -194,8 +274,54 @@ def test_cache_atomic_no_partial_file_on_missing_dir(tmp_path):
     cache = ConductorCache(path)
     cache.put(_sample_records()[0])
     cache.save()
+    cache.put(_sample_records()[1])
+    cache.save()
     assert path.exists()
-    assert not path.with_suffix(".tmp").exists()
+    # no temp file of any name is left behind
+    assert [p.name for p in path.parent.iterdir()] == ["conductors.csv"]
+
+
+def test_cache_failed_save_keeps_file_and_leaves_no_temp(tmp_path,
+                                                         monkeypatch):
+    path = tmp_path / "conductors.csv"
+    cache = ConductorCache(path)
+    cache.put(_sample_records()[0])
+    cache.save()
+    before = path.read_bytes()
+    cache.put(_sample_records()[1])
+
+    def fail(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        cache.save()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["conductors.csv"]
+
+
+def test_cache_save_without_new_rows_leaves_file(tmp_path):
+    path = tmp_path / "conductors.csv"
+    cache = ConductorCache(path)
+    cache.put(_sample_records()[0])
+    cache.save()
+    stranger = path.read_text(encoding="ascii") + "9,0.5,0.0,em50\n"
+    path.write_text(stranger, encoding="ascii")
+    warm = ConductorCache(path)
+    warm.put(_sample_records()[0])       # already there: not a new row
+    warm.save()
+    cache.save()
+    assert path.read_text(encoding="ascii") == stranger
+    cache.put(_sample_records()[1])
+    cache.save()
+    assert [r.q for r in ConductorCache(path).records()] == [3, 4]
+
+
+def test_cache_file_mode_is_not_private(tmp_path):
+    path = tmp_path / "conductors.csv"
+    cache = ConductorCache(path)
+    cache.put(_sample_records()[0])
+    cache.save()
+    assert path.stat().st_mode & 0o777 == 0o644
 
 
 def test_default_path_env_override(tmp_path, monkeypatch):
