@@ -15,14 +15,14 @@ from .decomp import (DecompositionReport, conductor_correction, decompose,
                      progression_term, proxy_defect, ramified_term,
                      window_term)
 from .ekgamma import (CacheCorruption, ConductorCache, ConductorTotal,
-                      GammaQ, conductor_total, conductor_totals, gamma_q,
+                      GammaQ, conductor_totals, gamma_q,
                       gamma_q_from_prime_sums, precision_tag)
 from .experiments import (EhProbeRecord, MeanStatistic, RangeStatistic,
                           RatioBin, ScanRecord, dyadic_mean, eh_probe, emit,
                           parse_scan_csv, ratio_histogram, render,
                           residue_sum_check, residue_sum_checks, scan_range,
                           theorem_statistic)
-from .lseries import LValueRecord, l_at_one, l_prime_at_one, l_values, phi_chi
+from .lseries import l_at_one, phi_chi
 from .sieve import (MAX_TABLE_BOUND, ArithmeticTables, CapacityError,
                     build_tables, divisors, factorize, mobius, psi, psi_mod,
                     psi_mod_stream, psi_stream, totient)
@@ -40,13 +40,13 @@ __all__ = [
     "layer_weight", "mobius_layer_sum", "primitive_phi_sum",
     "progression_term", "proxy_defect", "ramified_term", "window_term",
     "CacheCorruption", "ConductorCache", "ConductorTotal", "GammaQ",
-    "conductor_total", "conductor_totals", "gamma_q",
+    "conductor_totals", "gamma_q",
     "gamma_q_from_prime_sums", "precision_tag",
     "EhProbeRecord", "MeanStatistic", "RangeStatistic", "RatioBin",
     "ScanRecord", "dyadic_mean", "eh_probe", "emit", "parse_scan_csv",
     "ratio_histogram", "render", "residue_sum_check", "residue_sum_checks",
     "scan_range", "theorem_statistic",
-    "LValueRecord", "l_at_one", "l_prime_at_one", "l_values", "phi_chi",
+    "l_at_one", "phi_chi",
     "MAX_TABLE_BOUND", "ArithmeticTables", "CapacityError", "build_tables",
     "divisors", "factorize", "mobius", "psi", "psi_mod", "psi_mod_stream", "psi_stream",
     "totient",

@@ -6,7 +6,10 @@ nothing for 2^1, the single class of 3 for 2^2, and the pair {-1, 5} for
 2^k with k >= 3. A character is the tuple of its exponents against these
 generators; values are exact roots of unity exp(2*pi*i*t/L) with the integer
 t computed in exact arithmetic and converted to complex only at the last
-step. Conductor, order and parity all come from the exponent tuple alone.
+step. conductor_grid is the one conductor rule: it gives the conductors of
+all characters of a group at once, built once per group, and both
+DirichletCharacter.conductor and primitive_characters read it. A
+character's single values, parity included, come from its value table.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ class Component:
 
 
 class CharacterGroup:
-    """Structure of (Z/q)^x plus discrete-log tables for fast evaluation."""
+    """Structure of (Z/q)^x: its cyclic components and the unit grid."""
 
     def __init__(self, modulus: int) -> None:
         if modulus < 1:
@@ -43,17 +46,13 @@ class CharacterGroup:
         self.exponent = reduce(math.lcm, self.orders, 1)
 
         # unit_grid[e1, ..., er] = prod g_i^{e_i} mod q, row major so the last
-        # component varies fastest; dlog inverts it on unit residues.
+        # component varies fastest.
         grid = np.array([1 if modulus > 1 else 0], dtype=np.int64)
         for comp in self.components:
             powers = _powers(comp.generator, comp.order, modulus)
             grid = (grid[:, None] * powers[None, :]) % modulus
             grid = grid.reshape(-1)
         self.unit_grid = grid.reshape(self.orders or (1,))
-
-        dlog = np.full(modulus if modulus > 1 else 1, -1, dtype=np.int64)
-        dlog[self.unit_grid.reshape(-1)] = np.arange(self.phi)
-        self.dlog = dlog
 
         if self.orders:
             self.exp_vectors = (
@@ -65,13 +64,7 @@ class CharacterGroup:
         self.root_table = np.exp(
             2j * np.pi * np.arange(self.exponent) / self.exponent
         )
-
-        if modulus > 2:
-            self.minus_one_exponents = tuple(
-                int(v) for v in self.exp_vectors[self.dlog[modulus - 1]]
-            )
-        else:
-            self.minus_one_exponents = tuple(0 for _ in self.orders)
+        self.conductors: np.ndarray | None = None   # set by conductor_grid
 
 
 class DirichletCharacter:
@@ -91,9 +84,7 @@ class DirichletCharacter:
             (d // math.gcd(d, k) for k, d in zip(self.exponents, group.orders)),
             1,
         )
-        self.conductor = _conductor(group, self.exponents)
-        self.parity = self._parity()
-        # integer weights: chi(unit with dlog e) = root_table[sum w_i e_i mod L]
+        # integer weights: chi(unit_grid[e]) = root_table[sum w_i e_i mod L]
         L = group.exponent
         self._weights = np.array(
             [k * (L // d) for k, d in zip(self.exponents, group.orders)],
@@ -106,28 +97,21 @@ class DirichletCharacter:
         return all(k == 0 for k in self.exponents)
 
     @property
+    def conductor(self) -> int:
+        grid = conductor_grid(self.group)
+        return int(grid[self.exponents] if self.exponents else grid[0])
+
+    @property
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
-    def _parity(self) -> int:
-        L = self.group.exponent
-        t = 0
-        for k, e, d in zip(
-            self.exponents, self.group.minus_one_exponents, self.group.orders
-        ):
-            t = (t + k * e * (L // d)) % L
-        return 1 if t == 0 else -1
+    @property
+    def parity(self) -> int:
+        """chi(-1), which is exactly 1 or, up to rounding, -1."""
+        return 1 if self.evaluate(-1) == 1 else -1
 
     def evaluate(self, n: int) -> complex:
-        if self.modulus == 1:
-            return 1 + 0j
-        r = n % self.modulus
-        rank = int(self.group.dlog[r])
-        if rank < 0:
-            return 0j
-        L = self.group.exponent
-        t = int(self.group.exp_vectors[rank] @ self._weights) % L
-        return complex(self.group.root_table[t])
+        return complex(self.value_table()[n % self.modulus])
 
     def value_table(self) -> np.ndarray:
         """chi(r) for r = 0..q-1 as one complex array (zeros off the units)."""
@@ -173,7 +157,11 @@ def principal_character(group: CharacterGroup) -> DirichletCharacter:
 
 
 def primitive_characters(group: CharacterGroup) -> list[DirichletCharacter]:
-    return [c for c in enumerate_characters(group) if c.is_primitive]
+    """The characters of conductor q, in the order of enumerate_characters."""
+    ranks = np.flatnonzero(conductor_grid(group).reshape(-1) == group.modulus)
+    return [DirichletCharacter(group, tuple(int(v) for v in
+                                            group.exp_vectors[r]))
+            for r in ranks]
 
 
 def _powers(g: int, order: int, modulus: int) -> np.ndarray:
@@ -248,12 +236,17 @@ def conductor_grid(group: CharacterGroup) -> np.ndarray:
     """Conductors of all characters at once, shaped like the exponent grid.
 
     Entry [k1, ..., kr] is the conductor of the character with that exponent
-    tuple; agrees with DirichletCharacter.conductor pointwise.
+    tuple. Per component it is the smallest prime power the character's
+    restriction factors through: p^(j+1) for an odd p when the order of the
+    restriction is p^j times a divisor of p - 1 and exceeds 1; for the
+    2-part, 2^(m+2) when the 5-exponent has order 2^m > 1, else 4 when the
+    sign (or mod-4) exponent is odd. The grid is built once per group and
+    kept read-only on it.
     """
+    if group.conductors is not None:
+        return group.conductors
     shape = group.orders or (1,)
     cond = np.ones(shape, dtype=np.int64)
-    if not group.components:
-        return cond
     idx = np.indices(group.orders, dtype=np.int64)
     comps = group.components
     i = 0
@@ -290,40 +283,6 @@ def conductor_grid(group: CharacterGroup) -> np.ndarray:
                 m2[m] += 1
             cond *= np.where(o5 > 1, 2 ** (m2 + 2), np.where(k % 2 == 1, 4, 1))
             i += 2
-    return cond
-
-
-def _conductor(group: CharacterGroup, exponents: tuple[int, ...]) -> int:
-    """Smallest modulus the character factors through, built per component."""
-    cond = 1
-    i = 0
-    comps = group.components
-    while i < len(comps):
-        comp = comps[i]
-        k = exponents[i]
-        if comp.kind == "odd":
-            o = comp.order // math.gcd(comp.order, k)
-            if o > 1:
-                j = 0
-                while o % comp.prime == 0:
-                    o //= comp.prime
-                    j += 1
-                cond *= comp.prime ** (j + 1)
-            i += 1
-        elif comp.kind == "two":
-            if k % 2 == 1:
-                cond *= 4
-            i += 1
-        else:
-            # two_minus_one followed by two_five; conductor of the 2-part is
-            # decided by the order of the 5-exponent, else by the sign part.
-            k5 = exponents[i + 1]
-            d5 = comps[i + 1].order
-            o5 = d5 // math.gcd(d5, k5)
-            if o5 > 1:
-                m = o5.bit_length() - 1  # o5 is a power of two
-                cond *= 2 ** (m + 2)
-            elif k % 2 == 1:
-                cond *= 4
-            i += 2
+    cond.flags.writeable = False
+    group.conductors = cond
     return cond

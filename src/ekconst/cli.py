@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 from .decomp import decompose
 from .ekgamma import CacheCorruption, ConductorCache, gamma_q
-from .experiments import (dyadic_mean, eh_probe, emit, render,
+from .experiments import (_g, dyadic_mean, eh_probe, emit, render,
                           residue_sum_checks, scan_range, theorem_statistic)
 from .sieve import MAX_TABLE_BOUND, build_tables
 from .stieltjes import DEFAULT_EM_TERMS
@@ -38,10 +38,6 @@ DEFAULT_SPLIT_EXPONENT = 2.0
 SELF_CHECK_MODULI = 50
 SELF_CHECK_TOL = 1e-8
 SELF_CHECK_BASE_X = 1e5
-
-
-def _g(value) -> str:
-    return format(value, ".12g")
 
 
 def _err(message: str) -> None:
@@ -102,10 +98,13 @@ def cmd_decompose(args) -> int:
     if args.e is None:
         x_split = float(min(max(q, q * q), x))
     else:
-        if args.e <= 0:
-            _err(f"split exponent must be positive, got {args.e}")
+        if not (math.isfinite(args.e) and args.e > 0):
+            _err(f"split exponent must be finite and positive, got {args.e}")
             return EXIT_USAGE
-        x_split = float(q) ** args.e
+        try:
+            x_split = float(q) ** args.e
+        except OverflowError:
+            x_split = math.inf
         if x_split > x:
             _err(f"x_split = q^e = {_g(x_split)} exceeds x = {_g(x)}")
             return EXIT_USAGE
@@ -169,8 +168,8 @@ def cmd_scan(args) -> int:
 
 def cmd_probe(args) -> int:
     x = args.x
-    if x < 2:
-        _err(f"x must be >= 2, got {x}")
+    if not (math.isfinite(x) and x >= 2):
+        _err(f"x must be finite and >= 2, got {x}")
         return EXIT_USAGE
     if not 0.0 < args.epsilon < 1.0:
         _err(f"epsilon must lie in (0, 1), got {args.epsilon}")

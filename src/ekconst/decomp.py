@@ -145,20 +145,20 @@ def layer_weight(p: int, v: int, q: int) -> int:
 
 def conductor_correction(q: int, x: float, tables: ArithmeticTables) -> float:
     """Cost of reading every primitive character mod q instead of mod its
-    conductor; nonpositive by construction."""
+    conductor; nonpositive by construction. The weight at p^v is
+    layer_weight(p, v, q)."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if x <= 1 or x > tables.bound:
         raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
     terms = []
-    for p, e in factorize(q):
-        r = q // p**e
-        w = float(totient(r))
-        n = p
+    for p, _ in factorize(q):
+        n, v = p, 1
         while n <= x:
-            if (n - 1) % r == 0:
+            w = layer_weight(p, v, q)
+            if w:
                 terms.append(w * _lambda_at(tables, n) * (x - n) / n)
-            n *= p
+            n, v = n * p, v + 1
     return -math.fsum(terms) / (x - 1.0)
 
 

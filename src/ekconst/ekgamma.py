@@ -14,8 +14,10 @@ gamma_0(a/q) and gamma_1(a/q) are needed only at the phi(q) units, and
 conductor_totals evaluates them for many conductors at once: it concatenates
 their unit arguments and runs the Euler-Maclaurin evaluation over blocks of
 about EM_BLOCK_POINTS of them, so numpy's per-call overhead is paid per block
-rather than per conductor. The scalar per-character route in lseries stays
-independent and cross-checks this one.
+rather than per conductor. conductor_totals is the library's only route to
+these totals (ConductorCache.fill calls it for the conductors a cache
+lacks), and characters.conductor_grid picks the primitive characters. A
+per-character scalar route in the test suite cross-checks the DFT.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .sieve import ArithmeticTables, divisors, totient
 from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA, _em_laurent
 
 #: Conservative per-character error allowance at the default precision tag,
-#: validated against the scalar route in the test suite.
+#: validated against the per-character scalar route in the test suite.
 PER_CHARACTER_ERR = 5e-12
 
 CACHE_ENV_VAR = "EKCONST_CACHE_DIR"
@@ -156,12 +158,6 @@ def _dft_total(group: CharacterGroup, w0: np.ndarray, w1: np.ndarray,
     return ConductorTotal(q=q, total=total, imag_residual=imag, tag=tag)
 
 
-def conductor_total(q: int, n_terms: int = DEFAULT_EM_TERMS) -> ConductorTotal:
-    """Compute one conductor's primitive-character L'/L total from scratch:
-    conductor_totals for the single conductor q."""
-    return conductor_totals([q], n_terms)[0]
-
-
 class CacheCorruption(ValueError):
     """Cache file failed validation; carries the offending conductor if known."""
 
@@ -275,10 +271,6 @@ class ConductorCache:
         for rec in fresh.values():
             self.put(rec)
         return [fresh[q] if rec is None else rec for q, rec in zip(qs, found)]
-
-    def get_or_compute(self, q: int,
-                       n_terms: int = DEFAULT_EM_TERMS) -> ConductorTotal:
-        return self.fill([q], n_terms)[0]
 
     def save(self) -> None:
         if self.path is None:

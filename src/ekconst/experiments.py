@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -21,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomp import DecompositionReport
 from .ekgamma import ConductorCache, conductor_totals, gamma_q
 from .sieve import ArithmeticTables, divisors, factorize, psi
 from .stieltjes import DEFAULT_EM_TERMS
@@ -79,6 +79,12 @@ class MeanStatistic:
     deviation: float       # |mean - log Q|
 
 
+def _processes(workers: int | None) -> int:
+    """Pool processes for a request of `workers`, at most the core count: a
+    fork pool starts all of its processes at once. 1 means run serially."""
+    return min(workers or 1, os.cpu_count() or 1)
+
+
 def scan_range(block: int, cache: ConductorCache | None = None,
                n_terms: int = DEFAULT_EM_TERMS,
                workers: int | None = 1) -> list[ScanRecord]:
@@ -87,10 +93,10 @@ def scan_range(block: int, cache: ConductorCache | None = None,
     The conductor totals the cache lacks are computed first, by
     conductor_totals, which evaluates the special functions for many
     conductors in one batch. With workers > 1 the missing conductors go to
-    a process pool in CHUNKS_PER_WORKER interleaved blocks per worker, one
-    batch each; they are independent pure functions. Then every gamma_q is
-    assembled from the cache, so records are reproducible bit for bit from
-    a warm cache.
+    a process pool in CHUNKS_PER_WORKER interleaved blocks per process, one
+    batch each; they are independent pure functions. The pool has
+    min(workers, cores) processes. Then every gamma_q is assembled from the
+    cache, so records are reproducible bit for bit from a warm cache.
     """
     if block < 2:
         raise ValueError(f"block must be >= 2, got {block}")
@@ -99,10 +105,11 @@ def scan_range(block: int, cache: ConductorCache | None = None,
     qs = range(block + 1, 2 * block + 1)
     conductors = sorted({d for q in qs for d in divisors(q)[1:]})
     missing = [d for d in conductors if cache.get(d, n_terms) is None]
-    if workers is not None and workers > 1 and len(missing) > 1:
-        n_chunks = min(len(missing), workers * CHUNKS_PER_WORKER)
+    procs = _processes(workers)
+    if procs > 1 and len(missing) > 1:
+        n_chunks = min(len(missing), procs * CHUNKS_PER_WORKER)
         chunks = [missing[k::n_chunks] for k in range(n_chunks)]
-        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=min(procs, n_chunks)) as pool:
             totals = partial(conductor_totals, n_terms=n_terms)
             for part in pool.map(totals, chunks):
                 for rec in part:
@@ -226,10 +233,11 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     progression count). m = 1 has the single class a = 1 and contributes
     theta(x) - psi(x).
 
-    With workers > 1 the levels, which are independent, run in a process
-    pool that receives only the residue base and the weights. Each level
-    does the same arithmetic as in the serial loop and the total is summed
-    in ascending m, so the record is the same bit for bit.
+    With workers > 1 the levels, which are independent, run in a pool of
+    min(workers, cores) processes that receives only the residue base and
+    the weights. Each level does the same arithmetic as in the serial loop
+    and the total is summed in ascending m, so the record is the same bit
+    for bit.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -239,10 +247,11 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     psi_x = psi(tables, x)
     arr, w = _weights_upto(tables, x, prime_powers)
     levels = range(1, m_max + 1)
-    if workers is not None and workers > 1 and m_max > 1:
-        n_chunks = min(m_max, workers * CHUNKS_PER_WORKER)
+    procs = _processes(workers)
+    if procs > 1 and m_max > 1:
+        n_chunks = min(m_max, procs * CHUNKS_PER_WORKER)
         chunks = [levels[k::n_chunks] for k in range(n_chunks)]
-        with ProcessPoolExecutor(max_workers=min(workers, n_chunks),
+        with ProcessPoolExecutor(max_workers=min(procs, n_chunks),
                                  initializer=_init_level_worker,
                                  initargs=(arr, w, psi_x)) as pool:
             per_m = sorted(pair for part in
@@ -339,25 +348,6 @@ def _render_scan(records, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_report(report: DecompositionReport, fmt: str) -> str:
-    fields = asdict(report)
-    if fmt == "csv":
-        header = ",".join(fields)
-        row = ",".join(str(v) if isinstance(v, int) else _g(v)
-                       for v in fields.values())
-        return header + "\n" + row + "\n"
-    if fmt == "json":
-        return json.dumps(fields, indent=2) + "\n"
-    lines = [f"# decomposition terms, q={report.q} x={_g(report.x)} "
-             f"x_split={_g(report.x_split)}", "# columns: index value"]
-    numeric = {k: v for k, v in fields.items()
-               if k not in ("q", "x", "x_split")}
-    lines.extend(f"# {i}: {name}" for i, name in enumerate(numeric, start=1))
-    lines.extend(f"{i} {_g(value)}"
-                 for i, value in enumerate(numeric.values(), start=1))
-    return "\n".join(lines) + "\n"
-
-
 def _render_probe(probe: EhProbeRecord, fmt: str) -> str:
     if fmt == "csv":
         row = f"{_g(probe.x)},{_g(probe.epsilon)},{probe.m_max},{_g(probe.total)}"
@@ -405,8 +395,6 @@ def _render_histogram(bins, fmt: str) -> str:
 def _payload_kind(payload) -> str:
     if isinstance(payload, EhProbeRecord):
         return "probe"
-    if isinstance(payload, DecompositionReport):
-        return "report"
     if isinstance(payload, (list, tuple)):
         if len(payload) == 0 or isinstance(payload[0], ScanRecord):
             return "scan"
@@ -422,8 +410,6 @@ def render(payload, fmt: str) -> str:
     kind = _payload_kind(payload)
     if kind == "scan":
         return _render_scan(payload, fmt)
-    if kind == "report":
-        return _render_report(payload, fmt)
     if kind == "probe":
         return _render_probe(payload, fmt)
     return _render_histogram(payload, fmt)

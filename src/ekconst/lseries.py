@@ -12,33 +12,23 @@ collapses exactly, the integrand being a step function, to
     Phi_chi(x) = (1/(x-1)) * sum_{n<=x} (Lambda(n) chi(n) / n) * (x - n).
 
 Phi_chi(x) approaches -L'/L(1, chi) as x grows; the two routes are kept
-independent so each can check the other.
+independent so each can check the other. The library computes L'/L(1, chi)
+only per conductor, by the DFT in ekgamma; the per-character route through
+the second formula lives in the test suite as its cross-check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .accum import fsum_complex
 from .characters import DirichletCharacter
 from .sieve import ArithmeticTables
-from .stieltjes import DEFAULT_EM_TERMS, digamma_rational, stieltjes_pair_table
+from .stieltjes import digamma_rational
 
 #: Below this |L(1, chi)| the log-derivative is numerically untrustworthy.
 MIN_ABS_L = 1e-6
-
-
-@dataclass(frozen=True)
-class LValueRecord:
-    modulus: int
-    exponents: tuple[int, ...]
-    l_one: complex
-    l_prime_one: complex
-    logderiv: complex
-    err_estimate: float
 
 
 def l_at_one(chi: DirichletCharacter) -> complex:
@@ -52,45 +42,6 @@ def l_at_one(chi: DirichletCharacter) -> complex:
         dtype=np.complex128,
     )
     return -fsum_complex(terms) / q
-
-
-@lru_cache(maxsize=100_000)
-def l_values(chi: DirichletCharacter,
-             n_terms: int = DEFAULT_EM_TERMS) -> LValueRecord:
-    """L(1, chi), L'(1, chi) and their ratio, with a propagated error bound."""
-    q = chi.modulus
-    l_one = l_at_one(chi)
-    if abs(l_one) <= MIN_ABS_L:
-        raise ArithmeticError(
-            f"|L(1, chi)| = {abs(l_one):.3e} <= {MIN_ABS_L} for chi mod {q}, "
-            f"exponents {chi.exponents}; log-derivative would be unreliable"
-        )
-    g1, em_err = stieltjes_pair_table(q, n_terms)[1:]
-    vals = chi.value_table()
-    terms = np.array(
-        [vals[a] * g1[a - 1] for a in range(1, q) if vals[a] != 0],
-        dtype=np.complex128,
-    )
-    logq = math.log(q)
-    l_prime = -logq * l_one - fsum_complex(terms) / q
-    logderiv = l_prime / l_one
-    # Each table entry carries em_err; the character sum has at most q unit
-    # coefficients, so both L and L' inherit about em_err after the 1/q.
-    err_l = em_err
-    err = (err_l * (1.0 + logq) + err_l * abs(logderiv)) / abs(l_one)
-    return LValueRecord(
-        modulus=q,
-        exponents=chi.exponents,
-        l_one=l_one,
-        l_prime_one=l_prime,
-        logderiv=logderiv,
-        err_estimate=err,
-    )
-
-
-def l_prime_at_one(chi: DirichletCharacter,
-                   n_terms: int = DEFAULT_EM_TERMS) -> complex:
-    return l_values(chi, n_terms).l_prime_one
 
 
 def phi_chi(chi: DirichletCharacter, x: float,

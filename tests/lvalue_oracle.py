@@ -1,0 +1,64 @@
+"""Per-character L'/L(1, chi): the scalar route that cross-checks the
+library's per-conductor DFT.
+
+Each character's L(1, chi) comes from the digamma closed form
+(ekconst.l_at_one) and its L'(1, chi) from one character sum over the
+gamma_1(a/q) table of stieltjes_pair_table; no FFT and no conductor grid is
+involved.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from ekconst import DEFAULT_EM_TERMS, l_at_one, stieltjes_pair_table
+from ekconst.accum import fsum_complex
+from ekconst.characters import DirichletCharacter
+from ekconst.lseries import MIN_ABS_L
+
+
+@dataclass(frozen=True)
+class LValueRecord:
+    modulus: int
+    exponents: tuple[int, ...]
+    l_one: complex
+    l_prime_one: complex
+    logderiv: complex
+    err_estimate: float
+
+
+@lru_cache(maxsize=100_000)
+def l_values(chi: DirichletCharacter,
+             n_terms: int = DEFAULT_EM_TERMS) -> LValueRecord:
+    """L(1, chi), L'(1, chi) and their ratio, with a propagated error bound."""
+    q = chi.modulus
+    l_one = l_at_one(chi)
+    if abs(l_one) <= MIN_ABS_L:
+        raise ArithmeticError(
+            f"|L(1, chi)| = {abs(l_one):.3e} <= {MIN_ABS_L} for chi mod {q}, "
+            f"exponents {chi.exponents}; log-derivative would be unreliable"
+        )
+    g1, em_err = stieltjes_pair_table(q, n_terms)[1:]
+    vals = chi.value_table()
+    terms = np.array(
+        [vals[a] * g1[a - 1] for a in range(1, q) if vals[a] != 0],
+        dtype=np.complex128,
+    )
+    logq = math.log(q)
+    l_prime = -logq * l_one - fsum_complex(terms) / q
+    logderiv = l_prime / l_one
+    # Each table entry carries em_err; the character sum has at most q unit
+    # coefficients, so both L and L' inherit about em_err after the 1/q.
+    err_l = em_err
+    err = (err_l * (1.0 + logq) + err_l * abs(logderiv)) / abs(l_one)
+    return LValueRecord(
+        modulus=q,
+        exponents=chi.exponents,
+        l_one=l_one,
+        l_prime_one=l_prime,
+        logderiv=logderiv,
+        err_estimate=err,
+    )

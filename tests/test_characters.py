@@ -7,7 +7,59 @@ import pytest
 
 from ekconst import (build_group, conductor_grid, enumerate_characters,
                      primitive_characters, principal_character, totient)
-from ekconst.characters import _conductor
+
+
+def _exponent_conductor(group, exponents):
+    """Conductor from the exponent tuple, one component at a time in Python
+    ints: the per-character rule that conductor_grid vectorizes."""
+    cond = 1
+    i = 0
+    comps = group.components
+    while i < len(comps):
+        comp = comps[i]
+        k = exponents[i]
+        if comp.kind == "odd":
+            o = comp.order // math.gcd(comp.order, k)
+            if o > 1:
+                j = 0
+                while o % comp.prime == 0:
+                    o //= comp.prime
+                    j += 1
+                cond *= comp.prime ** (j + 1)
+            i += 1
+        elif comp.kind == "two":
+            if k % 2 == 1:
+                cond *= 4
+            i += 1
+        else:
+            # two_minus_one followed by two_five; conductor of the 2-part is
+            # decided by the order of the 5-exponent, else by the sign part.
+            k5 = exponents[i + 1]
+            d5 = comps[i + 1].order
+            o5 = d5 // math.gcd(d5, k5)
+            if o5 > 1:
+                m = o5.bit_length() - 1  # o5 is a power of two
+                cond *= 2 ** (m + 2)
+            elif k % 2 == 1:
+                cond *= 4
+            i += 2
+    return cond
+
+
+def _exponent_parity(group, exponents):
+    """chi(-1) from the exponent tuple: -1 = prod g_i^{e_i}, so chi(-1) is
+    the root of unity of index sum k_i e_i L/d_i mod L."""
+    q = group.modulus
+    if q <= 2:
+        minus_one = [0] * len(group.orders)
+    else:
+        rank = int(np.flatnonzero(group.unit_grid.reshape(-1) == q - 1)[0])
+        minus_one = group.exp_vectors[rank].tolist()
+    L = group.exponent
+    t = 0
+    for k, e, d in zip(exponents, minus_one, group.orders):
+        t = (t + k * e * (L // d)) % L
+    return 1 if t == 0 else -1
 
 
 def _value_matrix(q):
@@ -77,10 +129,15 @@ def test_principal_character_is_indicator_of_units():
 
 def test_conductor_via_factorization_oracle():
     # the conductor is the least d | q through which the table factors:
-    # chi(n) = chi(m) whenever n = m mod d on units
-    for q in (8, 9, 12, 15, 16, 24, 40):
+    # chi(n) = chi(m) whenever n = m mod d on units. q = 1 and 2 have the
+    # empty exponent tuple; 32 and 48 carry the {-1, 5} pair of the 2-part.
+    # The grid, indexed by the exponent tuple, is checked at the same time.
+    for q in (1, 2, 8, 9, 12, 15, 16, 24, 32, 40, 48, 105):
         group = build_group(q)
-        for chi in enumerate_characters(group):
+        grid = conductor_grid(group)
+        chars = enumerate_characters(group)
+        assert grid.size == len(chars)
+        for chi in chars:
             units = [n for n in range(1, q + 1) if math.gcd(n, q) == 1]
             cond = None
             for d in sorted(set(d for d in range(1, q + 1) if q % d == 0)):
@@ -96,25 +153,56 @@ def test_conductor_via_factorization_oracle():
                 if ok:
                     cond = d
                     break
+            at = chi.exponents if chi.exponents else (0,)
+            assert grid[at] == cond, (q, chi.exponents)
             assert chi.conductor == cond, (q, chi.exponents)
             assert chi.is_primitive == (cond == q)
 
 
 def test_conductor_grid_matches_per_character():
-    # the grid is indexed by the exponent tuple, one axis per component
+    # the grid is indexed by the exponent tuple, one axis per component, and
+    # agrees with the per-character exponent rule at every character
     for q in (1, 2, 3, 4, 8, 9, 12, 36, 100, 101):
         group = build_group(q)
         grid = conductor_grid(group)
         chars = enumerate_characters(group)
         assert grid.size == len(chars)
         for chi in chars:
-            want = chi.conductor
+            want = _exponent_conductor(group, chi.exponents)
             got = grid[chi.exponents] if chi.exponents else grid.reshape(-1)[0]
             assert got == want, (q, chi.exponents)
+            assert chi.conductor == want, (q, chi.exponents)
+
+
+def test_conductor_grid_built_once_per_group():
+    group = build_group(45)
+    grid = conductor_grid(group)
+    assert conductor_grid(group) is grid
+    assert not grid.flags.writeable
+    primitive_characters(group)
+    assert enumerate_characters(group)[7].conductor == grid.reshape(-1)[7]
+    assert conductor_grid(group) is grid
+
+
+def test_primitive_characters_order_matches_filtered_enumeration():
+    # the order fixes the float sum in gamma_q_from_prime_sums
+    for q in range(1, 201):
+        group = build_group(q)
+        want = [chi.exponents for chi in enumerate_characters(group)
+                if _exponent_conductor(group, chi.exponents) == q]
+        assert [chi.exponents for chi in primitive_characters(group)] == want
+
+
+def test_parity_matches_exponent_formula():
+    for q in range(1, 201):
+        group = build_group(q)
+        for chi in enumerate_characters(group):
+            assert chi.parity == _exponent_parity(group, chi.exponents), (
+                q, chi.exponents)
 
 
 def _loop_unit_grid(group):
-    """unit_grid and dlog built one power at a time in Python ints."""
+    """unit_grid built one power at a time in Python ints."""
     q = group.modulus
     grid = [1 if q > 1 else 0]
     for comp in group.components:
@@ -124,22 +212,21 @@ def _loop_unit_grid(group):
             powers.append(acc)
             acc = acc * comp.generator % q
         grid = [u * p % q for u in grid for p in powers]
-    dlog = [-1] * q
-    for rank, u in enumerate(grid):
-        dlog[u] = rank
-    return grid, dlog
+    return grid
 
 
 def test_group_tables_match_loop_construction():
-    # unit_grid and dlog against the power-by-power loop, conductor_grid
-    # against the per-character conductor, for every modulus up to 1500
+    # unit_grid against the power-by-power loop, and a bijection onto the
+    # units; conductor_grid against the per-character exponent rule; for
+    # every modulus up to 1500
     for q in range(1, 1501):
         group = build_group(q)
-        grid, dlog = _loop_unit_grid(group)
+        grid = _loop_unit_grid(group)
         assert group.unit_grid.shape == (group.orders or (1,)), q
         assert group.unit_grid.reshape(-1).tolist() == grid, q
-        assert group.dlog.tolist() == dlog, q
-        want = [_conductor(group, tuple(e))
+        units = [n % q for n in range(1, q + 1) if math.gcd(n, q) == 1]
+        assert sorted(grid) == sorted(units), q
+        want = [_exponent_conductor(group, tuple(e))
                 for e in group.exp_vectors.tolist()]
         assert conductor_grid(group).reshape(-1).tolist() == want, q
 

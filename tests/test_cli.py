@@ -97,6 +97,16 @@ def test_decompose_oversized_explicit_split_rejected(tmp_path, capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("e", ["1e6", "inf", "nan"])
+def test_decompose_overflowing_split_exponent_rejected(tmp_path, capsys, e):
+    # 10.0 ** 1e6 overflows a float; a non-finite exponent is no split
+    code, out, err = _run(capsys, "decompose", "10", "--e", e,
+                          "--cache-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("ekconst: error: ")
+
+
 def test_decompose_x_below_q_rejected(tmp_path, capsys):
     code, _, err = _run(capsys, "decompose", "3", "--x", "2",
                         "--cache-dir", str(tmp_path))
@@ -197,6 +207,14 @@ def test_probe_usage_errors(tmp_path, capsys):
     code, _, err = _run(capsys, "probe", "1000", "--workers", "0")
     assert code == EXIT_USAGE
     assert "workers must be >= 1" in err
+
+
+@pytest.mark.parametrize("x", ["inf", "nan"])
+def test_probe_non_finite_x_rejected(capsys, x):
+    code, out, err = _run(capsys, "probe", x)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("ekconst: error: x must be finite")
 
 
 def test_probe_workers_default_is_cpu_count(capsys):

@@ -13,10 +13,11 @@ from scipy.integrate import quad
 
 from ekconst import (EULER_GAMMA, build_group, build_tables,
                      conductor_correction, decompose, divisors, gamma_q,
-                     l_values, layer_weight, mobius_layer_sum, phi_chi,
+                     layer_weight, mobius_layer_sum, phi_chi,
                      primitive_characters, primitive_phi_sum,
                      progression_term, proxy_defect, psi, psi_mod,
                      ramified_term, totient, window_term)
+from lvalue_oracle import l_values
 
 
 def _prime_powers(tables, hi):

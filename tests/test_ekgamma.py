@@ -7,12 +7,12 @@ import pytest
 
 from ekconst import (EULER_GAMMA, CacheCorruption, ConductorCache,
                      ConductorTotal, build_group, conductor_grid,
-                     conductor_total, conductor_totals, gamma_q, l_values,
-                     precision_tag, primitive_characters, scan_range,
-                     stieltjes_pair_table)
+                     conductor_totals, gamma_q, precision_tag,
+                     primitive_characters, scan_range, stieltjes_pair_table)
 from ekconst import ekgamma, stieltjes
 from ekconst.ekgamma import CACHE_ENV_VAR, _CACHE_HEADER
 from ekconst.lseries import MIN_ABS_L
+from lvalue_oracle import l_values
 
 
 # ---------------------------------------------------------------- values
@@ -38,7 +38,7 @@ def test_gamma_2m_equals_gamma_m_for_odd_m(shared_cache):
 def test_conductor_total_matches_scalar_characters(shared_cache):
     # dual route: batched group DFT vs per-character digamma evaluation
     for d in (3, 4, 5, 7, 8, 9, 12, 16, 40):
-        rec = conductor_total(d)
+        (rec,) = conductor_totals([d])
         scalar = [l_values(chi).logderiv
                   for chi in primitive_characters(build_group(d))]
         want = math.fsum(v.real for v in scalar)
@@ -53,7 +53,7 @@ def test_gamma_q_is_sum_over_conductors(shared_cache):
         rec = gamma_q(q, shared_cache)
         total = [EULER_GAMMA]
         for d in (d for d in range(2, q + 1) if q % d == 0):
-            total.append(conductor_total(d).total)
+            total.append(conductor_totals([d])[0].total)
         assert rec.value == pytest.approx(math.fsum(total), abs=1e-13)
         assert rec.q == q
         assert rec.tag == precision_tag(50)
@@ -72,7 +72,7 @@ def test_known_small_values(shared_cache):
 
 
 def test_no_primitive_layer_conductor_2_mod_4():
-    rec = conductor_total(6)
+    (rec,) = conductor_totals([6])
     assert rec.total == 0.0
     assert rec.imag_residual == 0.0
 
@@ -120,7 +120,7 @@ def test_conductor_totals_honours_em_terms():
     got = conductor_totals(qs, n_terms=20)
     assert [_bits(r) for r in got] == [_bits(_per_table_total(q, 20))
                                        for q in qs]
-    assert conductor_total(97, 20) == got[-1]
+    assert conductor_totals([97], 20) == got[-1:]
 
 
 def test_conductor_totals_block_boundaries(monkeypatch):
@@ -195,11 +195,11 @@ def test_cache_save_is_sorted_and_lf(tmp_path):
     assert lines[2].startswith("4,")
 
 
-def test_cache_get_or_compute_reuses(tmp_path):
+def test_cache_fill_reuses(tmp_path):
     path = tmp_path / "conductors.csv"
     cache = ConductorCache(path)
-    first = cache.get_or_compute(5)
-    again = cache.get_or_compute(5)
+    (first,) = cache.fill([5])
+    (again,) = cache.fill([5])
     assert first is again
     cache.save()
     reloaded = ConductorCache(path)
@@ -208,8 +208,8 @@ def test_cache_get_or_compute_reuses(tmp_path):
 
 def test_cache_distinguishes_precision_tags(tmp_path):
     cache = ConductorCache(tmp_path / "c.csv")
-    a = cache.get_or_compute(7, n_terms=30)
-    b = cache.get_or_compute(7, n_terms=50)
+    (a,) = cache.fill([7], n_terms=30)
+    (b,) = cache.fill([7], n_terms=50)
     assert a.tag == "em30" and b.tag == "em50"
     assert cache.get(7, n_terms=30) == a
     assert cache.get(7, n_terms=50) == b

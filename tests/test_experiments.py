@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from ekconst import (EhProbeRecord, RatioBin, ScanRecord, build_tables,
-                     dyadic_mean, eh_probe, emit, gamma_q, parse_scan_csv,
-                     psi, ratio_histogram, render, residue_sum_check,
-                     residue_sum_checks, scan_range, theorem_statistic)
+from ekconst import (ConductorCache, EhProbeRecord, RatioBin, ScanRecord,
+                     build_tables, dyadic_mean, eh_probe, emit, experiments,
+                     gamma_q, parse_scan_csv, psi, ratio_histogram, render,
+                     residue_sum_check, residue_sum_checks, scan_range,
+                     theorem_statistic)
 from ekconst.experiments import (HISTOGRAM_HEADER, PER_M_HEADER,
                                  PROBE_HEADER, SCAN_HEADER)
 
@@ -42,10 +43,63 @@ def test_scan_range_matches_gamma_q(shared_cache):
 
 
 def test_scan_range_parallel_equals_serial():
-    from ekconst import ConductorCache
     serial = scan_range(8, ConductorCache(path=None), workers=1)
     parallel = scan_range(8, ConductorCache(path=None), workers=2)
     assert serial == parallel  # bit-identical records either way
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and the
+    number of chunks, and maps in this process, so no process starts."""
+
+    made: list = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.max_workers = max_workers
+        if initializer is not None:
+            initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        chunks = list(chunks)
+        _RecordingPool.made.append((self.max_workers, len(chunks)))
+        return [fn(c) for c in chunks]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    _RecordingPool.made = []
+    return _RecordingPool.made
+
+
+def test_scan_range_pool_capped_at_core_count(recording_pool):
+    serial = scan_range(40, ConductorCache(path=None), workers=1)
+    assert recording_pool == []
+    pooled = scan_range(40, ConductorCache(path=None), workers=10_000)
+    assert recording_pool == [(2, 2 * experiments.CHUNKS_PER_WORKER)]
+    assert pooled == serial
+
+
+def test_eh_probe_pool_capped_at_core_count(recording_pool, tables_small):
+    serial = eh_probe(1e4, 0.5, tables_small, workers=1)
+    pooled = eh_probe(1e4, 0.5, tables_small, workers=10_000)
+    assert recording_pool == [(2, 2 * experiments.CHUNKS_PER_WORKER)]
+    assert pooled == serial
+
+
+def test_unknown_core_count_runs_serially(recording_pool, monkeypatch,
+                                          tables_small):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    scan_range(12, ConductorCache(path=None), workers=8)
+    eh_probe(1e4, 0.5, tables_small, workers=8)
+    assert recording_pool == []
 
 
 def test_scan_range_warm_cache_reuses(shared_cache):
