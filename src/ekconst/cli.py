@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -269,8 +270,24 @@ def _add_workers_option(sub, what: str) -> None:
                      help=f"parallel {what} workers (default: cpu count)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float literal as a value.
+
+    The stock parser only takes '-5' and '-.5' style tokens for negative
+    numbers, so '-1e3' or '-inf' ended up as unknown options and the usage
+    error named a missing argument instead of the bad value. Subparsers
+    inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$",
+            re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ekconst",
         description="Euler-Kronecker constants of cyclotomic fields: "
                     "per-modulus values, exact decomposition self-checks, "

@@ -53,6 +53,13 @@ Every term below is evaluated by exact order-swapped sums over prime powers
 (no numerical quadrature in this module); decompose() reports the identity's
 residual, which vanishes up to floating-point rounding for any admissible
 x and x_split.
+
+The averages avg_chi(x) never evaluate a character: the sum of chi(n) over
+the primitive chi mod d is an integer that depends only on n mod d, so each
+conductor's averages read one integer table over the residues mod d. The
+proxy defect adds the tables of every conductor d | q, each repeated q/d
+times, into one table mod q, and reads it in a single pass over the prime
+powers with one exactly rounded sum.
 """
 from __future__ import annotations
 
@@ -224,36 +231,59 @@ def window_term(q: int, x: float, x_split: float, tables: ArithmeticTables,
     return (totient(q) * prog - full) / (x - 1.0)
 
 
+def _class_table(d: int) -> np.ndarray:
+    """Length-d int64 table T with T[r] = sum_{chi primitive mod d} chi(r).
+
+    For gcd(r, d) = 1 that is sum_{e | gcd(d, r-1)} phi(e) mu(d/e); for
+    gcd(r, d) > 1 every chi(r) vanishes and T[r] = 0.
+    """
+    table = np.zeros(d, dtype=np.int64)
+    for e in divisors(d):
+        me = mobius(d // e)
+        if me:
+            table[1 % e::e] += totient(e) * me
+    table[np.gcd(np.arange(d), d) != 1] = 0
+    return table
+
+
+def _weighted_prime_sum(weights: np.ndarray, x: float,
+                        tables: ArithmeticTables) -> float:
+    """Exactly rounded sum of Lambda(n) (x - n)/n * weights[n mod m] over
+    the prime powers n <= x, where m = len(weights)."""
+    pp, lg = _prime_powers_upto(tables, x)
+    w = weights[pp % weights.size]
+    nz = w != 0
+    n = pp[nz]
+    return fsum_array(lg[nz] * (x - n) / n * w[nz])
+
+
 def primitive_phi_sum(d: int, x: float, tables: ArithmeticTables) -> float:
     """Sum of avg_chi(x) over the primitive characters mod d.
 
-    Uses the exact integer weights sum_{chi primitive mod d} chi(n) =
-    sum_{e | gcd(d, n-1)} phi(e) mu(d/e) for gcd(n, d) = 1 (zero otherwise),
-    so the whole sum is a single real pass over prime powers. d = 1 gives
-    the plain smoothed Chebyshev average.
+    The sum of chi(n) over those characters depends only on n mod d, so it
+    is read from the integer table _class_table(d) and the whole sum is one
+    real pass over the prime powers: one residue, one gather and one exactly
+    rounded sum. d = 1 gives the plain smoothed Chebyshev average.
     """
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
     if x <= 1 or x > tables.bound:
         raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
-    pp, lg = _prime_powers_upto(tables, x)
-    if pp.size == 0:
-        return 0.0
-    weight = np.zeros(pp.size, dtype=np.int64)
-    for e in divisors(d):
-        me = mobius(d // e)
-        if me == 0:
-            continue
-        weight += (totient(e) * me) * (pp % e == 1 % e)
-    weight[np.gcd(pp, d) != 1] = 0
-    return fsum_array(lg * (x - pp) / pp * weight) / (x - 1.0)
+    return _weighted_prime_sum(_class_table(d), x, tables) / (x - 1.0)
 
 
 def proxy_defect(q: int, x: float, tables: ArithmeticTables,
                  cache: ConductorCache | None = None,
                  n_terms: int = DEFAULT_EM_TERMS) -> float:
     """Total of L'/L(1, chi) + avg_chi(x) over the primitive characters of
-    every conductor > 1 dividing q; shrinks as x grows."""
+    every conductor > 1 dividing q; shrinks as x grows.
+
+    The averages of all conductors d | q share one residue pass: their
+    class tables, each repeated q/d times, add up to one integer table mod
+    q, and the weighted prime powers go into one exactly rounded sum. That
+    sum is rounded once, not once per conductor, so it can differ in the
+    last bit from the exact sum of primitive_phi_sum over the conductors.
+    """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if x <= 1 or x > tables.bound:
@@ -262,7 +292,10 @@ def proxy_defect(q: int, x: float, tables: ArithmeticTables,
         cache = ConductorCache()
     conductors = divisors(q)[1:]
     parts = [rec.total for rec in cache.fill(conductors, n_terms)]
-    parts.extend(primitive_phi_sum(d, x, tables) for d in conductors)
+    weights = np.zeros(q, dtype=np.int64)
+    for d in conductors:
+        weights += np.tile(_class_table(d), q // d)
+    parts.append(_weighted_prime_sum(weights, x, tables) / (x - 1.0))
     return math.fsum(parts)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .characters import (CharacterGroup, build_group, conductor_grid,
                          primitive_characters)
 from .lseries import MIN_ABS_L, phi_chi
-from .sieve import ArithmeticTables, divisors, totient
+from .sieve import ArithmeticTables, divisors
 from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA, _em_laurent
 
 #: Conservative per-character error allowance at the default precision tag,
@@ -327,9 +327,10 @@ def gamma_q(q: int, cache: ConductorCache | None = None,
     conductors = divisors(q)[1:]
     terms = [EULER_GAMMA] + [rec.total for rec in cache.fill(conductors,
                                                               n_terms)]
-    err_units = sum(map(totient, conductors))
+    # one unit per phi(d) over the conductors d, and those phi(d) add up
+    # to q - 1
     return GammaQ(q=q, value=math.fsum(terms),
-                  err_estimate=err_units * PER_CHARACTER_ERR,
+                  err_estimate=(q - 1) * PER_CHARACTER_ERR,
                   tag=precision_tag(n_terms))
 
 

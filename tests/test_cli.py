@@ -209,12 +209,29 @@ def test_probe_usage_errors(tmp_path, capsys):
     assert "workers must be >= 1" in err
 
 
-@pytest.mark.parametrize("x", ["inf", "nan"])
+@pytest.mark.parametrize("x", ["inf", "nan", "-inf"])
 def test_probe_non_finite_x_rejected(capsys, x):
     code, out, err = _run(capsys, "probe", x)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("ekconst: error: x must be finite")
+
+
+@pytest.mark.parametrize("argv,shown", [
+    (("probe", "-1e3"), "got -1000.0"),
+    (("probe", "-2.5E+1", "--epsilon", "0.3"), "got -25.0"),
+    (("decompose", "10", "--x", "-1e3"), "x=-1000.0"),
+    (("decompose", "10", "--x", "-inf"), "x=-inf"),
+])
+def test_negative_float_literal_is_named(capsys, argv, shown):
+    # exponent and word forms of a negative x are values, not options;
+    # x is rejected before any cache is opened
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("ekconst: error: ")
+    assert shown in err
+    assert "required" not in err
 
 
 def test_probe_workers_default_is_cpu_count(capsys):

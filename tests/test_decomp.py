@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from ekconst import (EULER_GAMMA, build_group, build_tables,
                      conductor_correction, decompose, divisors, gamma_q,
-                     layer_weight, mobius_layer_sum, phi_chi,
+                     layer_weight, mobius, mobius_layer_sum, phi_chi,
                      primitive_characters, primitive_phi_sum,
                      progression_term, proxy_defect, psi, psi_mod,
                      ramified_term, totient, window_term)
@@ -257,6 +257,47 @@ def test_window_part_validation(tables_small):
 
 
 # ------------------------------------------------------------ proxy defect
+
+
+def _primitive_phi_sum_full_pass(d, x, tables):
+    # the per-divisor route: one full residue pass over the prime powers
+    # for each e | d, weighting n by phi(e) mu(d/e) [n = 1 mod e], then a
+    # gcd pass that zeroes the n sharing a factor with d
+    pp, lg = _prime_powers(tables, x)
+    if pp.size == 0:
+        return 0.0
+    weight = np.zeros(pp.size, dtype=np.int64)
+    for e in divisors(d):
+        me = mobius(d // e)
+        if me == 0:
+            continue
+        weight += (totient(e) * me) * (pp % e == 1 % e)
+    weight[np.gcd(pp, d) != 1] = 0
+    return math.fsum((lg * (x - pp) / pp * weight).tolist()) / (x - 1.0)
+
+
+_ORACLE_MODULI = sorted(set(range(1, 401)) | set(divisors(2310))
+                        | set(divisors(3600)) | set(divisors(4620)))
+
+
+@pytest.mark.parametrize("x", [1e4, 1e6])
+def test_primitive_phi_sum_bit_identical_to_full_pass(tables_big, x):
+    for d in _ORACLE_MODULI:
+        got = primitive_phi_sum(d, x, tables_big)
+        want = _primitive_phi_sum_full_pass(d, x, tables_big)
+        assert got.hex() == want.hex(), (d, x)
+
+
+@pytest.mark.parametrize("x", [1e4, 1e6])
+def test_proxy_defect_vs_full_pass_parts(shared_cache, tables_big, x):
+    # one residue pass against the fsum of the per-divisor parts
+    for q in (12, 45, 997, 1810, 2310, 3600, 4620):
+        conductors = divisors(q)[1:]
+        parts = [rec.total for rec in shared_cache.fill(conductors)]
+        parts += [_primitive_phi_sum_full_pass(d, x, tables_big)
+                  for d in conductors]
+        got = proxy_defect(q, x, tables_big, shared_cache)
+        assert got == pytest.approx(math.fsum(parts), rel=0, abs=1e-14), q
 
 
 def test_primitive_phi_sum_vs_per_character(tables_small):

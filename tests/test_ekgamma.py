@@ -7,8 +7,9 @@ import pytest
 
 from ekconst import (EULER_GAMMA, CacheCorruption, ConductorCache,
                      ConductorTotal, build_group, conductor_grid,
-                     conductor_totals, gamma_q, precision_tag,
-                     primitive_characters, scan_range, stieltjes_pair_table)
+                     conductor_totals, divisors, gamma_q, precision_tag,
+                     primitive_characters, scan_range, stieltjes_pair_table,
+                     totient)
 from ekconst import ekgamma, stieltjes
 from ekconst.ekgamma import CACHE_ENV_VAR, _CACHE_HEADER
 from ekconst.lseries import MIN_ABS_L
@@ -58,6 +59,22 @@ def test_gamma_q_is_sum_over_conductors(shared_cache):
         assert rec.q == q
         assert rec.tag == precision_tag(50)
         assert rec.err_estimate > 0
+
+
+class _ZeroTotals:
+    # stands in for the cache: every conductor total is 0, so gamma_q
+    # costs no special-function work
+    def fill(self, qs, n_terms):
+        return [ConductorTotal(q=q, total=0.0, imag_residual=0.0,
+                               tag=precision_tag(n_terms)) for q in qs]
+
+
+def test_err_estimate_matches_totient_sum():
+    # the estimate charges one unit per phi(d) over the conductors d > 1
+    for q in range(1, 3001):
+        units = sum(totient(d) for d in divisors(q)[1:])
+        assert gamma_q(q, _ZeroTotals()).err_estimate == (
+            units * ekgamma.PER_CHARACTER_ERR), q
 
 
 def test_known_small_values(shared_cache):
