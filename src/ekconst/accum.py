@@ -7,7 +7,8 @@ is undesirable, and elementwise accumulation over numpy arrays.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,9 +43,22 @@ class Accumulator:
         return self._sum + self._comp
 
 
+#: Elements that iter_floats converts to Python floats at a time. One slice
+#: holds every array of a decompose at x = 1e6 (78,734 prime powers).
+FLOAT_SLICE = 2**17
+
+
+def iter_floats(arr: np.ndarray) -> Iterator[float]:
+    """The elements of a 1-D float array as Python floats, converted one
+    slice of FLOAT_SLICE at a time, so no list of the whole array is made."""
+    return chain.from_iterable(arr[i:i + FLOAT_SLICE].tolist()
+                               for i in range(0, len(arr), FLOAT_SLICE))
+
+
 def fsum_array(arr: np.ndarray) -> float:
-    """Exactly rounded sum of a 1-D float array (Shewchuk via math.fsum)."""
-    return math.fsum(arr.tolist())
+    """Exactly rounded sum of a 1-D float array (Shewchuk via math.fsum).
+    fsum is exact in any order, so the slices give the whole list's sum."""
+    return math.fsum(iter_floats(arr))
 
 
 def fsum_complex(arr: np.ndarray) -> complex:

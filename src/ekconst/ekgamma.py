@@ -324,7 +324,12 @@ def gamma_q(q: int, cache: ConductorCache | None = None,
         raise ValueError(f"q must be >= 1, got {q}")
     if cache is None:
         cache = ConductorCache()
-    conductors = divisors(q)[1:]
+    return _gamma_from_conductors(q, divisors(q)[1:], cache, n_terms)
+
+
+def _gamma_from_conductors(q: int, conductors: list[int],
+                           cache: ConductorCache, n_terms: int) -> GammaQ:
+    """gamma_q from the conductors d > 1 of q, which are its divisors."""
     terms = [EULER_GAMMA] + [rec.total for rec in cache.fill(conductors,
                                                               n_terms)]
     # one unit per phi(d) over the conductors d, and those phi(d) add up

@@ -12,6 +12,7 @@ byte-identical files.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ekgamma import ConductorCache, conductor_totals, gamma_q
+from .accum import iter_floats
+from .ekgamma import (ConductorCache, _gamma_from_conductors,
+                      conductor_totals)
 from .sieve import ArithmeticTables, divisors, factorize, psi
 from .stieltjes import DEFAULT_EM_TERMS
 
@@ -39,6 +42,11 @@ RATIO_RANGE = (0.0, 2.0)
 #: conductors. Interleaving gives every chunk about the same cost, so more
 #: chunks only even out cores that run at different speeds.
 CHUNKS_PER_WORKER = 4
+
+#: A residue-sum check of level m folds its class sums from the pass at
+#: m * 2^j, with at least this many factors of 2 in all; so the levels
+#: 1..32 share one pass.
+CHECK_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,8 @@ def scan_range(block: int, cache: ConductorCache | None = None,
     if cache is None:
         cache = ConductorCache()
     qs = range(block + 1, 2 * block + 1)
-    conductors = sorted({d for q in qs for d in divisors(q)[1:]})
+    conductors_of = {q: divisors(q)[1:] for q in qs}
+    conductors = sorted(set().union(*conductors_of.values()))
     missing = [d for d in conductors if cache.get(d, n_terms) is None]
     procs = _processes(workers)
     if procs > 1 and len(missing) > 1:
@@ -118,7 +127,8 @@ def scan_range(block: int, cache: ConductorCache | None = None,
         cache.fill(missing, n_terms)
     out = []
     for q in qs:
-        val = gamma_q(q, cache, n_terms).value
+        val = _gamma_from_conductors(q, conductors_of[q], cache,
+                                     n_terms).value
         lq = math.log(q)
         ratio = val / lq if q >= 3 else math.nan
         out.append(ScanRecord(q=q, gamma_q=val, log_q=lq, ratio=ratio,
@@ -193,19 +203,57 @@ def _weights_upto(tables: ArithmeticTables, x: float, prime_powers: bool):
     return arr, w
 
 
-def _coprime_class_sums(arr: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
-    """Weight sums of the residue classes a mod m with gcd(a, m) = 1,
-    ascending in a; there are phi(m) of them."""
-    sums = np.bincount(arr % m, weights=w, minlength=m)
-    return sums[np.gcd(np.arange(m), m) == 1]
+def _chains(levels, top) -> list[list[int]]:
+    """The distinct levels grouped by top(m), a multiple of m by a power of
+    2, in ascending order of the tops. Each group is descending and starts
+    at its top, added if it is not a level, so one residue pass at the top
+    gives the class sums of the whole group."""
+    groups: dict[int, set[int]] = {}
+    for m in set(levels):
+        groups.setdefault(top(m), {top(m)}).add(m)
+    return [sorted(groups[t], reverse=True) for t in sorted(groups)]
 
 
-def _level_errors(arr, w, psi_x: float, levels) -> list[tuple[int, float]]:
-    """(m, max over coprime a of |E(x; m, a)|) for each m in levels."""
+def _probe_top(m_max: int, m: int) -> int:
+    """The largest m * 2^j <= m_max. It lies in (m_max/2, m_max] and is the
+    same for every level of one odd part."""
+    return m << ((m_max // m).bit_length() - 1)
+
+
+def _check_top(m: int) -> int:
+    """m * 2^j with at least CHECK_FOLDS factors of 2: it depends on m
+    alone, so a level checks the same in any batch."""
+    return m << max(0, CHECK_FOLDS - ((m & -m).bit_length() - 1))
+
+
+def _chain_class_sums(arr: np.ndarray, w: np.ndarray,
+                      chain) -> list[tuple[int, np.ndarray]]:
+    """(m, weight sums of the residue classes a mod m with gcd(a, m) = 1,
+    ascending in a) for each level m of a chain from _chains.
+
+    One residue pass buckets the weights mod chain[0], the top. Each lower
+    level halves the buckets of the level above, b[:m] + b[m:], since the
+    classes r and r + m mod 2m make up the class r mod m. The top's sums are
+    a plain bincount; a folded level adds the same weights in another order.
+    """
+    top = chain[0]
+    buckets = np.bincount((arr % top).astype(np.intp), weights=w,
+                          minlength=top)
     out = []
-    for m in levels:
-        sums = _coprime_class_sums(arr, w, m)
-        out.append((m, float(np.abs(sums - psi_x / sums.size).max())))
+    for m in chain:
+        while buckets.size > m:
+            half = buckets.size // 2
+            buckets = buckets[:half] + buckets[half:]
+        out.append((m, buckets[np.gcd(np.arange(m), m) == 1]))
+    return out
+
+
+def _level_errors(arr, w, psi_x: float, chains) -> list[tuple[int, float]]:
+    """(m, max over coprime a of |E(x; m, a)|) for each level of chains."""
+    out = []
+    for chain in chains:
+        for m, sums in _chain_class_sums(arr, w, chain):
+            out.append((m, float(np.abs(sums - psi_x / sums.size).max())))
     return out
 
 
@@ -218,8 +266,8 @@ def _init_level_worker(arr, w, psi_x: float) -> None:
     _LEVEL_INPUTS = (arr, w, psi_x)
 
 
-def _pooled_level_errors(levels) -> list[tuple[int, float]]:
-    return _level_errors(*_LEVEL_INPUTS, levels)
+def _pooled_level_errors(chains) -> list[tuple[int, float]]:
+    return _level_errors(*_LEVEL_INPUTS, chains)
 
 
 def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
@@ -233,11 +281,17 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     progression count). m = 1 has the single class a = 1 and contributes
     theta(x) - psi(x).
 
-    With workers > 1 the levels, which are independent, run in a pool of
+    The levels run in chains of one odd part (_chains): one residue pass
+    per odd o <= m_max, at the multiple o * 2^k in (m_max/2, m_max], and
+    the levels o * 2^j below it folded from that pass, so (m_max + 1) // 2
+    passes in all. The levels above m_max/2 get plain bincount sums; a
+    folded level can differ from a pass of its own in the last bits.
+
+    With workers > 1 the chains, which are independent, run in a pool of
     min(workers, cores) processes that receives only the residue base and
-    the weights. Each level does the same arithmetic as in the serial loop
-    and the total is summed in ascending m, so the record is the same bit
-    for bit.
+    the weights, in interleaved chunks of chains. Each chain does the same
+    arithmetic as in the serial loop and the total is summed in ascending
+    m, so the record is the same bit for bit.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -246,11 +300,11 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     m_max = int(math.floor(x ** (1.0 - epsilon)))
     psi_x = psi(tables, x)
     arr, w = _weights_upto(tables, x, prime_powers)
-    levels = range(1, m_max + 1)
+    chains = _chains(range(1, m_max + 1), partial(_probe_top, m_max))
     procs = _processes(workers)
-    if procs > 1 and m_max > 1:
-        n_chunks = min(m_max, procs * CHUNKS_PER_WORKER)
-        chunks = [levels[k::n_chunks] for k in range(n_chunks)]
+    if procs > 1 and len(chains) > 1:
+        n_chunks = min(len(chains), procs * CHUNKS_PER_WORKER)
+        chunks = [chains[k::n_chunks] for k in range(n_chunks)]
         with ProcessPoolExecutor(max_workers=min(procs, n_chunks),
                                  initializer=_init_level_worker,
                                  initargs=(arr, w, psi_x)) as pool:
@@ -258,19 +312,20 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
                            pool.map(_pooled_level_errors, chunks)
                            for pair in part)
     else:
-        per_m = _level_errors(arr, w, psi_x, levels)
+        per_m = sorted(_level_errors(arr, w, psi_x, chains))
     return EhProbeRecord(x=float(x), epsilon=float(epsilon), m_max=m_max,
                          total=math.fsum(e for _, e in per_m),
                          per_m=tuple(per_m))
 
 
-def _exact_parts(values: list[float]) -> list[float]:
-    """Floats whose exact sum is the exact sum of values: the exactly
-    rounded sum, then the exactly rounded remainder, until none is left.
-    Usually two parts."""
+def _exact_parts(values: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the exact sum of the array values: the
+    exactly rounded sum, then the exactly rounded remainder, until none is
+    left. Usually two parts."""
     parts: list[float] = []
     while True:
-        rest = math.fsum(values + [-p for p in parts])
+        rest = math.fsum(itertools.chain(iter_floats(values),
+                                         [-p for p in parts]))
         if rest == 0.0:
             return parts
         parts.append(rest)
@@ -284,11 +339,14 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
     computed independently: residue bucketing on the left, divisibility
     filtering on the right.
 
-    psi(x) and the total weight are summed once for the batch. The right
-    side is one exactly rounded fsum of the total weight minus the weights
-    at multiples of the primes dividing m; the total enters as parts whose
-    exact sum is the exact total, so the right side is the coprime weight
-    sum rounded once.
+    The left side takes its class sums from the probe's chains. Each level
+    is folded from the pass at _check_top(m), which depends on m alone, so
+    the levels 1..50 make 25 passes and residue_sum_check(m) is the same as
+    m's entry in any batch. psi(x) and the total weight are summed once for
+    the batch. The right side is one exactly rounded fsum of the total
+    weight minus the weights at multiples of the primes dividing m; the
+    total enters as parts whose exact sum is the exact total, so the right
+    side is the coprime weight sum rounded once.
     """
     levels = list(levels)
     if any(m < 1 for m in levels):
@@ -297,12 +355,14 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
         raise ValueError(f"need 2 <= x <= {tables.bound}, got {x}")
     psi_x = psi(tables, x)
     arr, w = _weights_upto(tables, x, prime_powers)
-    total = _exact_parts(w.tolist())
+    wanted = set(levels)
+    lhs = {m: math.fsum((sums - psi_x / sums.size).tolist())
+           for chain in _chains(wanted, _check_top)
+           for m, sums in _chain_class_sums(arr, w, chain) if m in wanted}
+    total = _exact_parts(w)
     multiples: dict[int, np.ndarray] = {}   # p -> indices of p | arr
     out = []
     for m in levels:
-        sums = _coprime_class_sums(arr, w, m)
-        lhs = math.fsum((sums - psi_x / sums.size).tolist())
         hit = [np.empty(0, dtype=np.intp)]
         for p, _ in factorize(m):
             if p not in multiples:
@@ -310,7 +370,7 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
             hit.append(multiples[p])
         excluded = w[np.unique(np.concatenate(hit))]
         rhs = math.fsum(total + (-excluded).tolist()) - psi_x
-        out.append((lhs, rhs))
+        out.append((lhs[m], rhs))
     return out
 
 

@@ -1,10 +1,14 @@
 """Command line interface: outputs, exit codes, cache handling.
 
 Everything drives entry() in-process with an isolated --cache-dir, matching
-exactly what the console script would do.
+exactly what the console script would do; one case runs `python -m ekconst`
+in a subprocess.
 """
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,19 @@ def test_gamma_conjugate_field_pair(tmp_path, capsys):
     _, out3, _ = _run(capsys, "gamma", "3", "--cache-dir", str(tmp_path))
     _, out6, _ = _run(capsys, "gamma", "6", "--cache-dir", str(tmp_path))
     assert _value(out3, "gamma_q") == _value(out6, "gamma_q")
+
+
+def test_python_m_runs_the_cli(tmp_path, capsys):
+    # `python -m ekconst` from a checkout, with nothing installed
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "ekconst", "gamma", "45",
+         "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    _, out, _ = _run(capsys, "gamma", "45", "--cache-dir", str(tmp_path))
+    assert _value(done.stdout, "gamma_q") == _value(out, "gamma_q")
 
 
 def test_gamma_usage_error(tmp_path, capsys):
@@ -256,15 +273,16 @@ def test_probe_worker_counts_byte_identical(tmp_path, capsys):
 
 
 def test_probe_selfcheck_failure_detected(monkeypatch, capsys):
-    real = experiments._coprime_class_sums
+    real = experiments._chain_class_sums
 
-    def corrupted(arr, w, m):
-        sums = real(arr, w, m)
-        if m == 7:
-            sums[2] += 1e-3      # one bucket of one level <= 50
-        return sums
+    def corrupted(arr, w, chain):
+        out = real(arr, w, chain)
+        for m, sums in out:
+            if m == 7:
+                sums[2] += 1e-3      # one bucket of one level <= 50
+        return out
 
-    monkeypatch.setattr(experiments, "_coprime_class_sums", corrupted)
+    monkeypatch.setattr(experiments, "_chain_class_sums", corrupted)
     code, out, _ = _run(capsys, "probe", "1e4", "--workers", "1")
     assert code == EXIT_CHECK_FAILED
     assert "selfcheck=FAILED" in out

@@ -2,9 +2,12 @@
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ekconst import (ConductorCache, EhProbeRecord, RatioBin, ScanRecord,
                      build_tables, dyadic_mean, eh_probe, emit, experiments,
@@ -271,6 +274,69 @@ def test_uint32_and_int64_residues_agree(tables_small, prime_powers):
     levels = range(1, 60)
     assert (residue_sum_checks(levels, 1e5, wide, prime_powers)
             == residue_sum_checks(levels, 1e5, tables_small, prime_powers))
+
+
+def _coprime_class_sums(arr, w, m):
+    """Weight sums of the coprime residue classes mod m, ascending, from a
+    pass of their own over the residue base: the route every level took
+    before the levels were folded."""
+    sums = np.bincount(arr % m, weights=w, minlength=m)
+    return sums[np.gcd(np.arange(m), m) == 1]
+
+
+@given(st.integers(min_value=1, max_value=20_000))
+def test_probe_chains_split_the_levels(m_max):
+    chains = experiments._chains(range(1, m_max + 1),
+                                 partial(experiments._probe_top, m_max))
+    assert sorted(m for chain in chains for m in chain) == \
+        list(range(1, m_max + 1))
+    assert len(chains) == (m_max + 1) // 2      # one per odd part
+    for chain in chains:
+        assert m_max < 2 * chain[0] <= 2 * m_max
+        assert all(hi == 2 * lo for hi, lo in zip(chain, chain[1:]))
+
+
+def test_pass_counts():
+    probe = experiments._chains(range(1, 3163),
+                                partial(experiments._probe_top, 3162))
+    assert len(probe) == 1581                   # probe 1e7, epsilon 0.5
+    check = experiments._chains(range(1, 51), experiments._check_top)
+    assert len(check) == 25
+    assert all(chain[0] % 2**experiments.CHECK_FOLDS == 0 for chain in check)
+
+
+@pytest.mark.parametrize("x", [1e5, 1e6])
+@pytest.mark.parametrize("prime_powers", [False, True])
+def test_folded_levels_match_one_pass_oracle(tables_big, x, prime_powers):
+    probe = eh_probe(x, 0.5, tables_big, prime_powers)
+    m_max = probe.m_max
+    psi_x = psi(tables_big, x)
+    arr, w = experiments._weights_upto(tables_big, x, prime_powers)
+    errors = dict(probe.per_m)
+    chains = experiments._chains(range(1, m_max + 1),
+                                 partial(experiments._probe_top, m_max))
+    for chain in chains:
+        for m, sums in experiments._chain_class_sums(arr, w, chain):
+            want = _coprime_class_sums(arr, w, m)
+            want_error = float(np.abs(want - psi_x / want.size).max())
+            if 2 * m > m_max:      # a pass of its own: bit for bit
+                assert float.hex(errors[m]) == float.hex(want_error), m
+                assert np.array_equal(sums, want), m
+            else:                  # folded: the same weights, reordered
+                assert abs(errors[m] - want_error) <= 1e-13 * psi_x, m
+                assert np.abs(sums - want).max() <= 1e-13 * psi_x, m
+
+
+def test_residue_sum_checks_do_not_depend_on_the_batch(tables_small):
+    levels = [30, 1, 97, 64, 6, 2, 6, 128]
+    batch = residue_sum_checks(levels, 1e4, tables_small)
+    assert batch == [residue_sum_check(m, 1e4, tables_small)
+                     for m in levels]
+    for m, (lhs, _) in zip(levels, batch):
+        sums = _coprime_class_sums(*experiments._weights_upto(
+            tables_small, 1e4, False), m)
+        want = math.fsum((sums - psi(tables_small, 1e4) / sums.size).tolist())
+        assert lhs == pytest.approx(want, abs=1e-9), m
 
 
 def _gcd_filter_rhs(m, x, tables, prime_powers=False):
