@@ -1,47 +1,17 @@
-"""Compensated accumulation helpers.
+"""Summation helpers.
 
-Scalar exact summation is delegated to math.fsum. The helpers here cover the
-two cases fsum does not: running accumulation where materializing all terms
-is undesirable, and elementwise accumulation over numpy arrays.
+Exact summation is math.fsum, scalar streams included. The helpers here feed
+it numpy arrays (real ones a slice at a time, complex ones by parts), and
+neumaier_step gives the elementwise compensated update for vectorized
+accumulation loops, where fsum does not apply.
 """
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
-
-
-class Accumulator:
-    """Running Neumaier (Kahan-Babuska) accumulator.
-
-    Keeps a correction term alongside the running sum so that long streams of
-    mixed-magnitude terms lose at most O(1) ulp instead of O(n).
-    """
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._sum = float(start)
-        self._comp = 0.0
-
-    def add(self, term: float) -> None:
-        t = self._sum + term
-        if abs(self._sum) >= abs(term):
-            self._comp += (self._sum - t) + term
-        else:
-            self._comp += (term - t) + self._sum
-        self._sum = t
-
-    def extend(self, terms: Iterable[float]) -> None:
-        for term in terms:
-            self.add(term)
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._comp
-
 
 #: Elements that iter_floats converts to Python floats at a time. One slice
 #: holds every array of a decompose at x = 1e6 (78,734 prime powers).

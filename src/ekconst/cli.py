@@ -4,6 +4,9 @@ Subcommands: gamma (one constant), decompose (seven-term identity
 self-check), scan (dyadic block with summary statistics), probe
 (progression-error totals), cache (list / clear / verify the conductor
 cache). Exit codes: 0 success, 1 self-check failure, 2 usage, 3 I/O.
+The commands raise their errors, and entry() turns each into the line
+'ekconst: error: ...' on stderr and its exit code; only cache verify reports
+its own, to name the corrupted conductor.
 
 Every command prints a '#' header naming its effective parameters, so any
 reported number can be reproduced from the output alone.
@@ -49,28 +52,21 @@ def _open_cache(cache_dir) -> ConductorCache:
     return ConductorCache(ConductorCache.default_path(cache_dir))
 
 
-def _workers(args) -> int | None:
-    """--workers, defaulting to the core count; None (after an error
-    message) when it is below 1."""
+def _workers(args) -> int:
+    """--workers, defaulting to the core count; at least 1."""
     workers = args.workers if args.workers is not None else (os.cpu_count()
                                                              or 1)
     if workers < 1:
-        _err(f"workers must be >= 1, got {workers}")
-        return None
+        raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
 
 
 def cmd_gamma(args) -> int:
     if args.q < 1:
-        _err(f"q must be >= 1, got {args.q}")
-        return EXIT_USAGE
+        raise ValueError(f"q must be >= 1, got {args.q}")
     cache = _open_cache(args.cache_dir)
     result = gamma_q(args.q, cache, args.em_terms)
-    try:
-        cache.save()
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_IO
+    cache.save()
     log_q = math.log(args.q)
     ratio = result.value / log_q if log_q > 0.0 else math.nan
     print(f"# ekconst gamma q={args.q} em_terms={args.em_terms} "
@@ -85,39 +81,33 @@ def cmd_gamma(args) -> int:
 def cmd_decompose(args) -> int:
     q = args.q
     if q < 1:
-        _err(f"q must be >= 1, got {q}")
-        return EXIT_USAGE
+        raise ValueError(f"q must be >= 1, got {q}")
     bound = args.bound if args.bound is not None else DEFAULT_SIEVE_BOUND
     if not 2 <= bound <= MAX_TABLE_BOUND:
-        _err(f"bound must lie in [2, {MAX_TABLE_BOUND}], got {bound}")
-        return EXIT_USAGE
+        raise ValueError(
+            f"bound must lie in [2, {MAX_TABLE_BOUND}], got {bound}")
     x = args.x if args.x is not None else float(min(max(10**5, q * q), bound))
     if not (q <= x and 1 < x <= bound):
-        _err(f"need q <= x <= bound and x > 1, got q={q}, x={x}, "
-             f"bound={bound}")
-        return EXIT_USAGE
+        raise ValueError(f"need q <= x <= bound and x > 1, got q={q}, x={x}, "
+                         f"bound={bound}")
     if args.e is None:
         x_split = float(min(max(q, q * q), x))
     else:
         if not (math.isfinite(args.e) and args.e > 0):
-            _err(f"split exponent must be finite and positive, got {args.e}")
-            return EXIT_USAGE
+            raise ValueError(
+                f"split exponent must be finite and positive, got {args.e}")
         try:
             x_split = float(q) ** args.e
         except OverflowError:
             x_split = math.inf
         if x_split > x:
-            _err(f"x_split = q^e = {_g(x_split)} exceeds x = {_g(x)}")
-            return EXIT_USAGE
+            raise ValueError(
+                f"x_split = q^e = {_g(x_split)} exceeds x = {_g(x)}")
         x_split = float(max(q, x_split))
     tables = build_tables(int(bound))
     cache = _open_cache(args.cache_dir)
     report = decompose(q, x, x_split, tables, cache, args.em_terms)
-    try:
-        cache.save()
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_IO
+    cache.save()
     print(f"# ekconst decompose q={q} x={_g(x)} x_split={_g(x_split)} "
           f"bound={bound} em_terms={args.em_terms} "
           f"residual_tolerance={_g(RESIDUAL_TOLERANCE)}")
@@ -132,18 +122,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.Q < 2:
-        _err(f"Q must be >= 2, got {args.Q}")
-        return EXIT_USAGE
+        raise ValueError(f"Q must be >= 2, got {args.Q}")
     workers = _workers(args)
-    if workers is None:
-        return EXIT_USAGE
     cache = _open_cache(args.cache_dir)
     records = scan_range(args.Q, cache, args.em_terms, workers)
-    try:
-        cache.save()
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_IO
+    cache.save()
     stat = theorem_statistic(records)
     mean_stat = dyadic_mean(records, args.Q)
     summary = (f"# ekconst scan Q={args.Q} n={stat.n_records} "
@@ -154,11 +137,7 @@ def cmd_scan(args) -> int:
                f"dyadic_mean={_g(mean_stat.mean)} "
                f"mean_dev={_g(mean_stat.deviation)}")
     if args.out is not None:
-        try:
-            emit(records, args.format, args.out)
-        except OSError as exc:
-            _err(str(exc))
-            return EXIT_IO
+        emit(records, args.format, args.out)
         print(summary)
         print(f"# wrote {args.out}")
     else:
@@ -170,25 +149,19 @@ def cmd_scan(args) -> int:
 def cmd_probe(args) -> int:
     x = args.x
     if not (math.isfinite(x) and x >= 2):
-        _err(f"x must be finite and >= 2, got {x}")
-        return EXIT_USAGE
+        raise ValueError(f"x must be finite and >= 2, got {x}")
     if not 0.0 < args.epsilon < 1.0:
-        _err(f"epsilon must lie in (0, 1), got {args.epsilon}")
-        return EXIT_USAGE
+        raise ValueError(f"epsilon must lie in (0, 1), got {args.epsilon}")
     bound = (args.bound if args.bound is not None
              else max(DEFAULT_SIEVE_BOUND, math.ceil(x)))
     if bound > MAX_TABLE_BOUND:
-        _err(f"bound {bound} exceeds table capacity {MAX_TABLE_BOUND}")
-        return EXIT_USAGE
+        raise ValueError(
+            f"bound {bound} exceeds table capacity {MAX_TABLE_BOUND}")
     if x > bound:
-        _err(f"x={_g(x)} exceeds sieve bound {bound}")
-        return EXIT_USAGE
+        raise ValueError(f"x={_g(x)} exceeds sieve bound {bound}")
     if args.per_m_out is not None and args.out is None:
-        _err("--per-m-out requires --out")
-        return EXIT_USAGE
+        raise ValueError("--per-m-out requires --out")
     workers = _workers(args)
-    if workers is None:
-        return EXIT_USAGE
     tables = build_tables(int(bound))
     probe = eh_probe(x, args.epsilon, tables,
                      prime_powers=args.prime_powers, workers=workers)
@@ -205,11 +178,7 @@ def cmd_probe(args) -> int:
           f"selfcheck={'ok' if ok else 'FAILED'} checked_m={checked} "
           f"worst={worst:.3e} tolerance={tolerance:.3e}")
     if args.out is not None:
-        try:
-            emit(probe, args.format, args.out, per_m_path=args.per_m_out)
-        except OSError as exc:
-            _err(str(exc))
-            return EXIT_IO
+        emit(probe, args.format, args.out, per_m_path=args.per_m_out)
         print(f"# wrote {args.out}")
         if args.per_m_out is not None:
             print(f"# wrote {args.per_m_out}")
@@ -221,11 +190,7 @@ def cmd_probe(args) -> int:
 def cmd_cache(args) -> int:
     path = ConductorCache.default_path(args.cache_dir)
     if args.action == "clear":
-        try:
-            ConductorCache(path, load=False).clear()
-        except OSError as exc:
-            _err(str(exc))
-            return EXIT_IO
+        ConductorCache(path, load=False).clear()
         print(f"# cleared {path}")
         return EXIT_OK
     if args.action == "verify":
@@ -235,19 +200,9 @@ def cmd_cache(args) -> int:
             where = f" (conductor {exc.q})" if exc.q is not None else ""
             _err(f"cache corrupted{where}: {exc}")
             return EXIT_IO
-        except OSError as exc:
-            _err(str(exc))
-            return EXIT_IO
         print(f"# cache={path} ok entries={len(rows)}")
         return EXIT_OK
-    try:
-        cache = ConductorCache(path)
-    except CacheCorruption as exc:
-        _err(f"cache corrupted: {exc}")
-        return EXIT_IO
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_IO
+    cache = ConductorCache(path)
     print(f"# cache={path} entries={len(cache)}")
     for rec in cache.records():
         print(f"{rec.q},{rec.total!r},{rec.imag_residual!r},{rec.tag}")

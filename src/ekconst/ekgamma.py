@@ -18,6 +18,15 @@ rather than per conductor. conductor_totals is the library's only route to
 these totals (ConductorCache.fill calls it for the conductors a cache
 lacks), and characters.conductor_grid picks the primitive characters. A
 per-character scalar route in the test suite cross-checks the DFT.
+
+For non-principal chi mod q the Hurwitz expansion gives, with the pole
+cancelling against sum_a chi(a) = 0,
+
+    L(1, chi)  = -(1/q) * sum_a chi(a) * digamma(a/q)
+    L'(1, chi) = -log(q) * L(1, chi) - (1/q) * sum_a chi(a) * gamma_1(a/q)
+
+with digamma(a/q) = -gamma_0(a/q); the DFT evaluates both sums for every
+character at once, and l_at_one is the scalar check on its L(1, chi).
 """
 from __future__ import annotations
 
@@ -30,11 +39,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .characters import (CharacterGroup, build_group, conductor_grid,
-                         primitive_characters)
-from .lseries import MIN_ABS_L, phi_chi
-from .sieve import ArithmeticTables, divisors
-from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA, _em_laurent
+from .accum import fsum_complex
+from .characters import (CharacterGroup, DirichletCharacter, build_group,
+                         conductor_grid)
+from .sieve import divisors
+from .stieltjes import (DEFAULT_EM_TERMS, EULER_GAMMA, _em_laurent,
+                        digamma_rational)
+
+#: Below this |L(1, chi)| the log-derivative is numerically untrustworthy.
+MIN_ABS_L = 1e-6
 
 #: Conservative per-character error allowance at the default precision tag,
 #: validated against the per-character scalar route in the test suite.
@@ -46,6 +59,8 @@ _CACHE_HEADER = "q,total,imag_residual,tag"
 
 
 def precision_tag(n_terms: int) -> str:
+    if n_terms < 10:
+        raise ValueError(f"n_terms must be >= 10, got {n_terms}")
     return f"em{n_terms}"
 
 
@@ -115,8 +130,6 @@ def conductor_totals(qs, n_terms: int = DEFAULT_EM_TERMS
 
 def _batch_totals(batch, n_terms: int, out: list) -> None:
     """Totals of the (index, group) pairs of one batch, stored at out[index]."""
-    if n_terms < 10:
-        raise ValueError(f"n_terms must be >= 10, got {n_terms}")
     x = np.concatenate([g.unit_grid.reshape(-1) / g.modulus
                         for _, g in batch])
     g0 = np.empty_like(x)
@@ -134,6 +147,19 @@ def _batch_totals(batch, n_terms: int, out: list) -> None:
         out[i] = _dft_total(group, g0[start:stop].reshape(shape),
                             g1[start:stop].reshape(shape), tag)
         start = stop
+
+
+def l_at_one(chi: DirichletCharacter) -> complex:
+    """L(1, chi) for non-principal chi, by the digamma closed form."""
+    if chi.is_principal:
+        raise ValueError("L(s, chi) has a pole at s = 1 for principal chi")
+    q = chi.modulus
+    vals = chi.value_table()
+    terms = np.array(
+        [vals[a] * digamma_rational(a, q) for a in range(1, q) if vals[a] != 0],
+        dtype=np.complex128,
+    )
+    return -fsum_complex(terms) / q
 
 
 def _dft_total(group: CharacterGroup, w0: np.ndarray, w1: np.ndarray,
@@ -337,24 +363,3 @@ def _gamma_from_conductors(q: int, conductors: list[int],
     return GammaQ(q=q, value=math.fsum(terms),
                   err_estimate=(q - 1) * PER_CHARACTER_ERR,
                   tag=precision_tag(n_terms))
-
-
-def gamma_q_from_prime_sums(q: int, x: float,
-                            tables: ArithmeticTables) -> float:
-    """Heuristic estimate of gamma_q from truncated prime sums alone.
-
-    Replaces every L'/L(1, chi) by its averaged prime-sum proxy -Phi_chi(x),
-    summed over the primitive characters of each conductor dividing q. The
-    proxy error shrinks as x grows (slowly and unconditionally); at x = 1e7
-    it is comfortably inside 0.1 for small q. Not an exact method.
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    acc = [complex(EULER_GAMMA)]
-    for d in divisors(q):
-        if d == 1:
-            continue
-        for chi in primitive_characters(build_group(d)):
-            acc.append(-phi_chi(chi, x, tables))
-    total = sum(acc)
-    return total.real

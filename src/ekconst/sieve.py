@@ -19,7 +19,7 @@ from math import isqrt
 
 import numpy as np
 
-from .accum import Accumulator, fsum_array
+from .accum import fsum_array
 
 #: Hard cap on table construction; beyond this use the streaming functions.
 #: At the cap the tables take 132 MiB, and a process that builds them peaks
@@ -205,11 +205,9 @@ def _stream_core(x: float, residue: tuple[int, int] | None,
         if found.size:
             chunk_sums.append(fsum_array(np.log(found.astype(np.float64))))
 
-    power_acc = Accumulator()
-    for pv, logp in _higher_powers(base_list, xi):
-        if residue is None or pv % residue[0] == residue[1]:
-            power_acc.add(logp)
-    chunk_sums.append(power_acc.value)
+    chunk_sums.append(math.fsum(
+        logp for pv, logp in _higher_powers(base_list, xi)
+        if residue is None or pv % residue[0] == residue[1]))
     return math.fsum(chunk_sums)
 
 

@@ -1,10 +1,18 @@
-"""Per-character L'/L(1, chi): the scalar route that cross-checks the
-library's per-conductor DFT.
+"""Per-character routes that cross-check the library's per-conductor ones.
 
-Each character's L(1, chi) comes from the digamma closed form
+l_values: each character's L(1, chi) comes from the digamma closed form
 (ekconst.l_at_one) and its L'(1, chi) from one character sum over the
 gamma_1(a/q) table of stieltjes_pair_table; no FFT and no conductor grid is
-involved.
+involved. It checks the DFT of ekgamma.
+
+phi_chi: the averaged prime-sum proxy of one character,
+
+    Phi_chi(x) = (1/(x-1)) * integral_1^x (sum_{n<=t} Lambda(n) chi(n)/n) dt
+               = (1/(x-1)) * sum_{n<=x} (Lambda(n) chi(n) / n) * (x - n),
+
+the integrand being a step function. Phi_chi(x) approaches -L'/L(1, chi) as
+x grows. It reads the complex value table of chi, where the library reads
+integer class tables once per modulus (decomp).
 """
 from __future__ import annotations
 
@@ -14,10 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ekconst import DEFAULT_EM_TERMS, l_at_one, stieltjes_pair_table
+from ekconst import (DEFAULT_EM_TERMS, ArithmeticTables, l_at_one,
+                     stieltjes_pair_table)
 from ekconst.accum import fsum_complex
 from ekconst.characters import DirichletCharacter
-from ekconst.lseries import MIN_ABS_L
+from ekconst.ekgamma import MIN_ABS_L
 
 
 @dataclass(frozen=True)
@@ -62,3 +71,19 @@ def l_values(chi: DirichletCharacter,
         logderiv=logderiv,
         err_estimate=err,
     )
+
+
+def phi_chi(chi: DirichletCharacter, x: float,
+            tables: ArithmeticTables) -> complex:
+    """Averaged prime-sum proxy Phi_chi(x), exact step-function closed form."""
+    if not 1 < x <= tables.bound:
+        raise ValueError(
+            f"x must satisfy 1 < x <= {tables.bound} (table bound), got {x}")
+    xf = math.floor(x)
+    count = int(np.searchsorted(tables.prime_powers, xf, side="right"))
+    pp = tables.prime_powers[:count]
+    logs = tables.prime_power_logs[:count]
+    vals = chi.value_table()
+    weights = logs * (x - pp) / pp
+    total = np.dot(weights, vals[pp % chi.modulus])
+    return complex(total) / (x - 1.0)

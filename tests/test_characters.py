@@ -185,7 +185,7 @@ def test_conductor_grid_built_once_per_group():
 
 
 def test_primitive_characters_order_matches_filtered_enumeration():
-    # the order fixes the float sum in gamma_q_from_prime_sums
+    # primitive_characters keeps the order of enumerate_characters
     for q in range(1, 201):
         group = build_group(q)
         want = [chi.exponents for chi in enumerate_characters(group)

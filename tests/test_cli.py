@@ -338,6 +338,101 @@ def test_corrupted_cache_blocks_gamma(tmp_path, capsys):
     assert "corrupted" in err
 
 
+# ------------------------------------------------------------ error table
+
+_BAD_ROW = "4,not-a-float,0.0,em50"
+_BAD_ROW_TEXT = ("{tmp}/cache/conductors.csv:2: unparseable values for "
+                 "conductor 4 (could not convert string to float: "
+                 "'not-a-float')")
+
+# (argv, setup, exit code, stderr after "ekconst: error: "); {tmp} is the
+# test's directory. setup "file" makes {tmp}/file a regular file, "corrupt"
+# puts a cache with a bad row at conductor 4 under {tmp}/cache.
+_ERRORS = [
+    (("gamma", "0"), None, EXIT_USAGE, "q must be >= 1, got 0"),
+    (("gamma", "1", "--em-terms", "-7"), None, EXIT_USAGE,
+     "n_terms must be >= 10, got -7"),
+    (("gamma", "2", "--em-terms", "5"), None, EXIT_USAGE,
+     "n_terms must be >= 10, got 5"),
+    (("gamma", "4", "--em-terms", "5"), None, EXIT_USAGE,
+     "n_terms must be >= 10, got 5"),
+    (("decompose", "0"), None, EXIT_USAGE, "q must be >= 1, got 0"),
+    (("decompose", "5", "--bound", "1"), None, EXIT_USAGE,
+     "bound must lie in [2, 100000000], got 1"),
+    (("decompose", "5", "--bound", "200000000"), None, EXIT_USAGE,
+     "bound must lie in [2, 100000000], got 200000000"),
+    (("decompose", "3", "--x", "2"), None, EXIT_USAGE,
+     "need q <= x <= bound and x > 1, got q=3, x=2.0, bound=1000000"),
+    (("decompose", "5", "--x", "2e6"), None, EXIT_USAGE,
+     "need q <= x <= bound and x > 1, got q=5, x=2000000.0, bound=1000000"),
+    (("decompose", "5", "--e", "0"), None, EXIT_USAGE,
+     "split exponent must be finite and positive, got 0.0"),
+    (("decompose", "5", "--e", "nan"), None, EXIT_USAGE,
+     "split exponent must be finite and positive, got nan"),
+    (("decompose", "50", "--x", "1000", "--e", "3"), None, EXIT_USAGE,
+     "x_split = q^e = 125000 exceeds x = 1000"),
+    (("decompose", "10", "--e", "1e6"), None, EXIT_USAGE,
+     "x_split = q^e = inf exceeds x = 100000"),
+    (("decompose", "5", "--em-terms", "5"), None, EXIT_USAGE,
+     "n_terms must be >= 10, got 5"),
+    (("scan", "1"), None, EXIT_USAGE, "Q must be >= 2, got 1"),
+    (("scan", "4", "--workers", "0"), None, EXIT_USAGE,
+     "workers must be >= 1, got 0"),
+    (("scan", "4", "--out", "{tmp}/file/scan.csv"), "file", EXIT_IO,
+     "writing {tmp}/file/scan.csv: [Errno 17] File exists: '{tmp}/file'"),
+    (("probe", "1"), None, EXIT_USAGE, "x must be finite and >= 2, got 1.0"),
+    (("probe", "inf"), None, EXIT_USAGE,
+     "x must be finite and >= 2, got inf"),
+    (("probe", "1000", "--epsilon", "0"), None, EXIT_USAGE,
+     "epsilon must lie in (0, 1), got 0.0"),
+    (("probe", "1000", "--epsilon", "1"), None, EXIT_USAGE,
+     "epsilon must lie in (0, 1), got 1.0"),
+    (("probe", "2e8"), None, EXIT_USAGE,
+     "bound 200000000 exceeds table capacity 100000000"),
+    (("probe", "1000", "--bound", "500"), None, EXIT_USAGE,
+     "x=1000 exceeds sieve bound 500"),
+    (("probe", "1000", "--per-m-out", "{tmp}/g.csv"), None, EXIT_USAGE,
+     "--per-m-out requires --out"),
+    (("probe", "1000", "--workers", "0"), None, EXIT_USAGE,
+     "workers must be >= 1, got 0"),
+    (("probe", "1000", "--out", "{tmp}/file/f.csv"), "file", EXIT_IO,
+     "writing {tmp}/file/f.csv: [Errno 17] File exists: '{tmp}/file'"),
+    (("gamma", "45", "--cache-dir", "{tmp}/file"), "file", EXIT_IO,
+     "[Errno 17] File exists: '{tmp}/file'"),
+    (("gamma", "12"), "corrupt", EXIT_IO,
+     "cache corrupted: " + _BAD_ROW_TEXT),
+    (("cache", "list"), "corrupt", EXIT_IO,
+     "cache corrupted: " + _BAD_ROW_TEXT),
+    (("cache", "verify"), "corrupt", EXIT_IO,
+     "cache corrupted (conductor 4): " + _BAD_ROW_TEXT),
+]
+
+
+@pytest.mark.parametrize("argv,setup,code,message", _ERRORS,
+                         ids=[" ".join(case[0]) for case in _ERRORS])
+def test_error_exit_code_and_message(tmp_path, capsys, argv, setup, code,
+                                     message):
+    tmp = str(tmp_path)
+    cache_file = tmp_path / "cache" / "conductors.csv"
+    if setup == "file":
+        (tmp_path / "file").write_text("", encoding="ascii")
+    elif setup == "corrupt":
+        cache_file.parent.mkdir()
+        cache_file.write_text(f"q,total,imag_residual,tag\n{_BAD_ROW}\n",
+                              encoding="ascii")
+    before = cache_file.read_bytes() if cache_file.exists() else None
+    argv = [arg.format(tmp=tmp) for arg in argv]
+    if argv[0] != "probe" and "--cache-dir" not in argv:
+        argv += ["--cache-dir", f"{tmp}/cache"]
+    got, _, err = _run(capsys, *argv)
+    assert (got, err) == (code,
+                          f"ekconst: error: {message.format(tmp=tmp)}\n")
+    if setup != "file":
+        # a usage error writes no cache row, and a corrupted cache is kept
+        after = cache_file.read_bytes() if cache_file.exists() else None
+        assert after == before
+
+
 # ------------------------------------------------------------- top level
 
 

@@ -13,11 +13,11 @@ from scipy.integrate import quad
 
 from ekconst import (EULER_GAMMA, build_group, build_tables,
                      conductor_correction, decompose, divisors, gamma_q,
-                     layer_weight, mobius, mobius_layer_sum, phi_chi,
+                     gamma_q_from_prime_sums, layer_weight, mobius, mobius_layer_sum,
                      primitive_characters, primitive_phi_sum,
                      progression_term, proxy_defect, psi, psi_mod,
                      ramified_term, totient, window_term)
-from lvalue_oracle import l_values
+from lvalue_oracle import l_values, phi_chi
 
 
 def _prime_powers(tables, hi):
@@ -339,6 +339,44 @@ def test_proxy_defect_shrinks_with_x(shared_cache, tables_big):
         large = abs(proxy_defect(q, 1e7, tables_big, shared_cache))
         assert large < small
         assert large < 5e-3
+
+
+# ---------------------------------------------------- prime-sum estimate
+
+
+@pytest.mark.parametrize("x", [1e4, 1e6])
+def test_gamma_q_from_prime_sums_vs_per_character(tables_big, x):
+    # gamma - sum of Re Phi_chi(x) over the primitive chi of every
+    # conductor d > 1 dividing q, one complex value table per character
+    per_conductor = {}
+    for q in (*range(1, 61), 997, 2310):
+        for d in divisors(q)[1:]:
+            if d not in per_conductor:
+                per_conductor[d] = math.fsum(
+                    phi_chi(chi, x, tables_big).real
+                    for chi in primitive_characters(build_group(d)))
+        want = EULER_GAMMA - math.fsum(per_conductor[d]
+                                       for d in divisors(q)[1:])
+        got = gamma_q_from_prime_sums(q, x, tables_big)
+        assert got == pytest.approx(want, rel=0, abs=1e-11), q
+
+
+@pytest.mark.parametrize("x", [1e4, 1e6])
+def test_gamma_q_from_prime_sums_is_gamma_q_minus_proxy_defect(
+        shared_cache, tables_big, x):
+    for q in (*range(1, 61), 97, 120, 997, 2310):
+        want = (gamma_q(q, shared_cache).value
+                - proxy_defect(q, x, tables_big, shared_cache))
+        got = gamma_q_from_prime_sums(q, x, tables_big)
+        assert got == pytest.approx(want, rel=0, abs=1e-14), q
+
+
+def test_gamma_q_from_prime_sums_domain_validation(tables_big):
+    with pytest.raises(ValueError, match="q must be >= 1, got 0"):
+        gamma_q_from_prime_sums(0, 1e4, tables_big)
+    for x in (1.0, 0.5, 2e7):
+        with pytest.raises(ValueError, match=r"1 < x <= 10000000 \(table"):
+            gamma_q_from_prime_sums(4, x, tables_big)
 
 
 # -------------------------------------------------------------- decompose

