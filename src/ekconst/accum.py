@@ -1,9 +1,10 @@
 """Summation helpers.
 
 Exact summation is math.fsum, scalar streams included. The helpers here feed
-it numpy arrays (real ones a slice at a time, complex ones by parts), and
-neumaier_step gives the elementwise compensated update for vectorized
-accumulation loops, where fsum does not apply.
+it numpy arrays: real ones a slice at a time, complex ones by parts. The one
+elementwise compensated loop, where fsum does not apply, is the
+Euler-Maclaurin kernel in stieltjes, which keeps its error-free additions
+in place.
 """
 from __future__ import annotations
 
@@ -35,16 +36,3 @@ def fsum_complex(arr: np.ndarray) -> complex:
     """Exactly rounded complex sum: real and imaginary parts summed separately."""
     return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
 
-
-def neumaier_step(
-    total: np.ndarray, comp: np.ndarray, term: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One elementwise Neumaier update for vectorized accumulation loops.
-
-    Returns the new running total; `comp` is updated in place and must be
-    added to the total once at the end.
-    """
-    t = total + term
-    swap = np.abs(total) >= np.abs(term)
-    comp += np.where(swap, (total - t) + term, (term - t) + total)
-    return t, comp

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -54,17 +54,22 @@ class CharacterGroup:
             grid = grid.reshape(-1)
         self.unit_grid = grid.reshape(self.orders or (1,))
 
-        if self.orders:
-            self.exp_vectors = (
-                np.indices(self.orders).reshape(len(self.orders), -1).T.copy()
-            )
-        else:
-            self.exp_vectors = np.zeros((1, 0), dtype=np.int64)
-
-        self.root_table = np.exp(
-            2j * np.pi * np.arange(self.exponent) / self.exponent
-        )
         self.conductors: np.ndarray | None = None   # set by conductor_grid
+
+    @cached_property
+    def exp_vectors(self) -> np.ndarray:
+        """The exponent tuple of every unit_grid entry, one row each in row
+        major order. Built on first use: only value tables and
+        primitive_characters read it, never the conductor totals."""
+        if not self.orders:
+            return np.zeros((1, 0), dtype=np.int64)
+        return np.indices(self.orders).reshape(len(self.orders), -1).T.copy()
+
+    @cached_property
+    def root_table(self) -> np.ndarray:
+        """exp(2*pi*i*t/L) for t = 0..L-1, L the group exponent; built on
+        first use, like exp_vectors."""
+        return np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
 
 
 class DirichletCharacter:
@@ -240,49 +245,39 @@ def conductor_grid(group: CharacterGroup) -> np.ndarray:
     restriction factors through: p^(j+1) for an odd p when the order of the
     restriction is p^j times a divisor of p - 1 and exceeds 1; for the
     2-part, 2^(m+2) when the 5-exponent has order 2^m > 1, else 4 when the
-    sign (or mod-4) exponent is odd. The grid is built once per group and
-    kept read-only on it.
+    sign (or mod-4) exponent is odd. So the grid is the outer product of
+    one 1-D factor per component, with one 2-D factor for the 2-part's sign
+    and 5-exponent pair. It is built once per group and kept read-only on
+    it.
     """
     if group.conductors is not None:
         return group.conductors
-    shape = group.orders or (1,)
-    cond = np.ones(shape, dtype=np.int64)
-    idx = np.indices(group.orders, dtype=np.int64)
+    cond = np.ones((), dtype=np.int64)
     comps = group.components
     i = 0
     while i < len(comps):
         comp = comps[i]
-        k = idx[i]
+        k = np.arange(comp.order, dtype=np.int64)
         if comp.kind == "odd":
+            # for the factor p^e, p^(j+1) = p * gcd(o, p^(e-1)), as o
+            # divides p^(e-1) * (p - 1)
             p = comp.prime
             o = comp.order // np.gcd(k, comp.order)
-            t = o.copy()
-            j = np.zeros(shape, dtype=np.int64)
-            while True:
-                m = t % p == 0
-                if not m.any():
-                    break
-                t[m] //= p
-                j[m] += 1
-            cond *= np.where(o > 1, p ** (j + 1), 1)
+            factor = np.where(o > 1, p * np.gcd(o, p ** (comp.prime_exp - 1)),
+                              1)
             i += 1
         elif comp.kind == "two":
-            cond *= np.where(k % 2 == 1, 4, 1)
+            factor = np.where(k % 2 == 1, 4, 1)
             i += 1
         else:
-            k5 = idx[i + 1]
+            # one 2-D factor over (sign exponent, 5-exponent): o5 = 2^m
             d5 = comps[i + 1].order
-            o5 = d5 // np.gcd(k5, d5)
-            m2 = np.zeros(shape, dtype=np.int64)
-            t = o5.copy()
-            while True:
-                m = t > 1
-                if not m.any():
-                    break
-                t[m] //= 2
-                m2[m] += 1
-            cond *= np.where(o5 > 1, 2 ** (m2 + 2), np.where(k % 2 == 1, 4, 1))
+            o5 = d5 // np.gcd(np.arange(d5, dtype=np.int64), d5)
+            factor = np.where(o5 > 1, 4 * o5,
+                              np.where(k[:, None] % 2 == 1, 4, 1))
             i += 2
+        cond = np.multiply.outer(cond, factor)
+    cond = cond.reshape(group.orders or (1,))
     cond.flags.writeable = False
     group.conductors = cond
     return cond

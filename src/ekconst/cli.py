@@ -171,6 +171,9 @@ def cmd_probe(args) -> int:
                                 prime_powers=args.prime_powers)
     worst = max(abs(lhs - rhs) for lhs, rhs in checks)
     ok = worst <= tolerance
+    if args.out is not None:
+        # written before any header line, so a failed write prints nothing
+        emit(probe, args.format, args.out, per_m_path=args.per_m_out)
     print(f"# ekconst probe x={_g(x)} epsilon={_g(args.epsilon)} "
           f"bound={bound} prime_powers={args.prime_powers} "
           f"workers={workers} format={args.format}")
@@ -178,7 +181,6 @@ def cmd_probe(args) -> int:
           f"selfcheck={'ok' if ok else 'FAILED'} checked_m={checked} "
           f"worst={worst:.3e} tolerance={tolerance:.3e}")
     if args.out is not None:
-        emit(probe, args.format, args.out, per_m_path=args.per_m_out)
         print(f"# wrote {args.out}")
         if args.per_m_out is not None:
             print(f"# wrote {args.per_m_out}")

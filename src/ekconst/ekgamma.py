@@ -83,12 +83,13 @@ class GammaQ:
 
 
 #: Unit arguments a/q per _em_laurent call in conductor_totals. On a 2-core
-#: x86-64 host (glibc, numpy 2.4, N = 50) blocks of 4096 to 8192 points cost
-#: 1.2 to 1.6 us per point, while 1024 points pay numpy's per-call overhead
-#: (2.4 us). From 16384 points on, each float64 temporary reaches 128 KiB,
-#: which glibc's malloc serves from freshly mapped pages, and the cost
-#: doubles (about 3 us per point).
-EM_BLOCK_POINTS = 8192
+#: x86-64 host (numpy 2.4, N = 50) the in-place kernel costs 0.44 to 0.50 us
+#: per point in blocks of 4096 to 16384 points, 0.55 us at 32768 and 0.71 us
+#: at 1024, where numpy's per-call overhead shows. Of those sizes, 16384
+#: gives the fastest cold scan 2048 (5 of 5 pairs against 8192, 2.15 s vs
+#: 2.19 s): whole conductors fill its blocks to 93% (278 calls), against
+#: 87% (594 calls) at 8192.
+EM_BLOCK_POINTS = 16384
 
 
 def conductor_totals(qs, n_terms: int = DEFAULT_EM_TERMS

@@ -15,6 +15,13 @@ Two independent evaluation routes are kept on purpose:
 
 The error estimate is the magnitude of the first omitted Bernoulli term
 (B_14), evaluated for both Laurent coefficients.
+
+The Euler-Maclaurin sums are compensated: each addition's exact rounding
+error, by TwoSum, or by Fast2Sum where the operand order is known, goes into
+a running compensation, and both are updated in place in preallocated
+buffers. Neumaier's step computes the same exact errors with a branch on the
+magnitudes, so the values are the same bit for bit as with Neumaier
+summation.
 """
 from __future__ import annotations
 
@@ -24,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .accum import neumaier_step
 
 #: Euler-Mascheroni constant, 20 digits.
 EULER_GAMMA = 0.57721566490153286061
@@ -109,38 +114,96 @@ def digamma_rational(a: int, q: int) -> float:
     return math.fsum(terms)
 
 
+def _sum_step(total: np.ndarray, term: np.ndarray, comp: np.ndarray,
+              out: np.ndarray, e: np.ndarray, f: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """One compensated addition, in place and without a branch: out =
+    fl(total + term), and the exact rounding error, by Knuth's TwoSum, is
+    added to comp. That error is the float Neumaier's step adds (Fast2Sum on
+    the side where it is exact), as long as nothing overflows. e and f are
+    scratch; out, e and f are distinct from total and term. Returns
+    (out, total): the new sum and the buffer now free."""
+    np.add(total, term, out=out)
+    np.subtract(out, total, out=f)       # term' = s - total
+    np.subtract(out, f, out=e)           # total' = s - term'
+    np.subtract(total, e, out=e)         # total - total'
+    np.subtract(term, f, out=f)          # term - term'
+    e += f
+    comp += e
+    return out, total
+
+
+def _diff_step(total: np.ndarray, term: np.ndarray, comp: np.ndarray,
+               out: np.ndarray, e: np.ndarray, f: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """_sum_step(total, -term, ...) with the negation folded into the
+    subtractions: negation is exact and rounding symmetric, so out and comp
+    get the same floats, and -term is never formed."""
+    np.subtract(total, term, out=out)
+    np.subtract(total, out, out=f)       # -term' = total - s
+    np.add(out, f, out=e)                # total' = s + (-term')
+    np.subtract(total, e, out=e)         # total - total'
+    f -= term                            # -term - term'
+    e += f
+    comp += e
+    return out, total
+
+
 def _em_laurent(x: np.ndarray, n_terms: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Coefficients (c0, c1) of zeta(1+eps, x) = 1/eps + c0 + c1*eps + ...
 
     Vectorized over x > 0. Returns (c0, c1, error_bound) where the bound is
     the first omitted Bernoulli term, valid for both coefficients.
+
+    Each sum carries a compensation that receives the exact rounding error
+    of every addition and is added once at the end. Everything runs in
+    buffers allocated once per call: each new sum goes into a spare buffer,
+    which then swaps roles with the old sum.
     """
     x = np.asarray(x, dtype=np.float64)
-    c0 = np.zeros_like(x)
-    c1 = np.zeros_like(x)
-    comp0 = np.zeros_like(x)
-    comp1 = np.zeros_like(x)
+    c0, c1, comp0, comp1 = (np.zeros_like(x) for _ in range(4))
+    t0, t1, xk, inv, w, v, err, tmp = (np.empty_like(x) for _ in range(8))
     for k in range(n_terms):
-        xk = x + k
-        inv = 1.0 / xk
-        c0, comp0 = neumaier_step(c0, comp0, inv)
-        c1, comp1 = neumaier_step(c1, comp1, -np.log(xk) * inv)
-    u = x + n_terms
-    logu = np.log(u)
-    invu = 1.0 / u
-    c0, comp0 = neumaier_step(c0, comp0, -logu)
-    c0, comp0 = neumaier_step(c0, comp0, 0.5 * invu)
-    c1, comp1 = neumaier_step(c1, comp1, 0.5 * logu * logu)
-    c1, comp1 = neumaier_step(c1, comp1, -0.5 * logu * invu)
-    upow = np.ones_like(u)
+        np.add(x, k, out=xk)
+        np.divide(1.0, xk, out=inv)
+        # c0 += 1/(x+k): the terms are positive and decreasing, so c0 >= inv
+        # from k = 1 on and Fast2Sum is exact (at k = 0 it gives +0.0)
+        np.add(c0, inv, out=t0)
+        np.subtract(c0, t0, out=err)
+        err += inv
+        comp0 += err
+        c0, t0 = t0, c0
+        # c1 -= log(x+k)/(x+k), whose terms change sign
+        np.log(xk, out=w)
+        w *= inv
+        c1, t1 = _diff_step(c1, w, comp1, t1, err, tmp)
+    # the tail at u = x + N: w = log u, inv = 1/u, and xk, once its minimum
+    # is read, holds a term and then the powers u^(-2j)
+    np.add(x, n_terms, out=xk)
+    umin = float(np.min(xk))
+    np.log(xk, out=w)
+    np.divide(1.0, xk, out=inv)
+    c0, t0 = _diff_step(c0, w, comp0, t0, err, tmp)         # - log u
+    np.multiply(inv, 0.5, out=v)
+    c0, t0 = _sum_step(c0, v, comp0, t0, err, tmp)          # + 1/(2u)
+    np.multiply(w, 0.5, out=v)
+    np.multiply(v, w, out=xk)
+    c1, t1 = _sum_step(c1, xk, comp1, t1, err, tmp)         # + (log u)^2/2
+    v *= inv
+    c1, t1 = _diff_step(c1, v, comp1, t1, err, tmp)         # - log u/(2u)
+    xk.fill(1.0)
     for b2j, hodd in zip(_BERN_OVER_2J, _HARMONIC_ODD):
-        upow = upow * invu * invu
-        c0, comp0 = neumaier_step(c0, comp0, b2j * upow)
-        c1, comp1 = neumaier_step(c1, comp1, b2j * upow * (hodd - logu))
-    umin = float(np.min(u))
+        xk *= inv
+        xk *= inv
+        np.multiply(xk, b2j, out=v)
+        c0, t0 = _sum_step(c0, v, comp0, t0, err, tmp)
+        np.subtract(hodd, w, out=err)
+        v *= err
+        c1, t1 = _sum_step(c1, v, comp1, t1, err, tmp)
+    c0 += comp0
+    c1 += comp1
     tail = _B14_OVER_14 * umin**-14
-    err = tail * max(1.0, _H13 + abs(math.log(umin)))
-    return c0 + comp0, c1 + comp1, err
+    return c0, c1, tail * max(1.0, _H13 + abs(math.log(umin)))
 
 
 def stieltjes01(

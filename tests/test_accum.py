@@ -1,4 +1,4 @@
-"""Compensated-summation helpers against math.fsum as the exact oracle."""
+"""Summation helpers against math.fsum as the exact oracle."""
 import math
 
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekconst import fsum_array
-from ekconst.accum import FLOAT_SLICE, fsum_complex, neumaier_step
+from ekconst.accum import FLOAT_SLICE, fsum_complex
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -39,30 +39,3 @@ def test_fsum_complex_componentwise(pairs):
     assert got.real == math.fsum(a for a, _ in pairs)
     assert got.imag == math.fsum(b for _, b in pairs)
 
-
-def _scalar_neumaier(terms):
-    total = comp = 0.0
-    for term in terms:
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-    return total + comp
-
-
-@settings(max_examples=50)
-@given(st.lists(st.lists(finite, min_size=4, max_size=4),
-                min_size=1, max_size=50))
-def test_neumaier_step_vector_lanes(rows):
-    # each of the 4 lanes must equal an independent scalar Neumaier sum
-    total = np.zeros(4)
-    comp = np.zeros(4)
-    for row in rows:
-        total, comp = neumaier_step(total, comp, np.array(row))
-    final = total + comp
-    for lane in range(4):
-        assert math.isclose(final[lane],
-                            _scalar_neumaier(row[lane] for row in rows),
-                            rel_tol=2.3e-16, abs_tol=5e-324)

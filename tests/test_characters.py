@@ -5,8 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ekconst import (build_group, conductor_grid, enumerate_characters,
-                     primitive_characters, principal_character, totient)
+from ekconst import (build_group, conductor_grid, ekgamma,
+                     enumerate_characters, primitive_characters,
+                     principal_character, totient)
 
 
 def _exponent_conductor(group, exponents):
@@ -229,6 +230,47 @@ def test_group_tables_match_loop_construction():
         want = [_exponent_conductor(group, tuple(e))
                 for e in group.exp_vectors.tolist()]
         assert conductor_grid(group).reshape(-1).tolist() == want, q
+
+
+def test_scan_builds_no_character_tables(monkeypatch):
+    # the conductor totals read the unit grid and the conductor grid only;
+    # the exponent vectors and the root table wait for a value table
+    built = []
+
+    def recording_build_group(q):
+        built.append(build_group(q))
+        return built[-1]
+
+    monkeypatch.setattr(ekgamma, "build_group", recording_build_group)
+    ekgamma.conductor_totals([3, 5, 8, 12, 45, 97, 128])
+    group = build_group(360)
+    conductor_grid(group)
+    assert [g.modulus for g in built] == [3, 5, 8, 12, 45, 97, 128]
+    for g in built + [group]:
+        assert "exp_vectors" not in vars(g), g.modulus
+        assert "root_table" not in vars(g), g.modulus
+
+
+def test_lazy_tables_match_eager_construction():
+    # after a value table both tables exist and equal the construction
+    # CharacterGroup once made in __init__ (mod 1 the table is [1] and
+    # reads neither)
+    for q in range(1, 301):
+        group = build_group(q)
+        principal_character(group).value_table()
+        built = "exp_vectors" in vars(group) and "root_table" in vars(group)
+        assert built == (q > 1), q
+        if group.orders:
+            want = np.indices(group.orders).reshape(len(group.orders),
+                                                    -1).T.copy()
+        else:
+            want = np.zeros((1, 0), dtype=np.int64)
+        assert group.exp_vectors.dtype == want.dtype, q
+        assert np.array_equal(group.exp_vectors, want), q
+        roots = np.exp(2j * np.pi * np.arange(group.exponent)
+                       / group.exponent)
+        assert np.array_equal(group.root_table.view(np.uint64),
+                              roots.view(np.uint64)), q
 
 
 def test_conductor_partition_counts():

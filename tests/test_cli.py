@@ -272,6 +272,18 @@ def test_probe_worker_counts_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_probe_failed_out_prints_nothing(tmp_path, capsys):
+    # the files are written before the header lines, so a failed write
+    # leaves stdout empty instead of reporting selfcheck=ok
+    (tmp_path / "file").write_text("", encoding="ascii")
+    target = tmp_path / "file" / "f.csv"
+    code, out, err = _run(capsys, "probe", "1000", "--out", str(target))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err == (f"ekconst: error: writing {target}: [Errno 17] File "
+                   f"exists: '{tmp_path / 'file'}'\n")
+
+
 def test_probe_selfcheck_failure_detected(monkeypatch, capsys):
     real = experiments._chain_class_sums
 

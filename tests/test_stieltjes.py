@@ -2,16 +2,21 @@
 
 Cross-validation strategy: the Gauss closed form and the Euler-Maclaurin
 tail expansion are two independent routes to gamma_0; shift recurrences and
-a pair of exact closed-form differences pin gamma_1.
+a pair of exact closed-form differences pin gamma_1. The branch-free
+kernel is checked bit for bit against its Neumaier form in em_oracle.
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ekconst import (DEFAULT_EM_TERMS, EULER_GAMMA, PrecisionError,
                      digamma_rational, stieltjes01, stieltjes_pair_table)
+from ekconst.ekgamma import EM_BLOCK_POINTS
+from ekconst.stieltjes import _diff_step, _em_laurent, _sum_step
+from em_oracle import em_laurent_neumaier, neumaier_step
 
 
 def test_euler_gamma_constant():
@@ -106,3 +111,105 @@ def test_more_terms_tightens_error_bound():
     e_small = stieltjes01(1, 7, n_terms=12).err_estimate
     e_big = stieltjes01(1, 7, n_terms=DEFAULT_EM_TERMS).err_estimate
     assert e_big < e_small
+
+
+# ------------------------------------------- kernel against the Neumaier form
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same_as_oracle(x, n_terms):
+    got = _em_laurent(x, n_terms)
+    want = em_laurent_neumaier(x, n_terms)
+    for g, w in zip(got[:2], want[:2]):
+        assert np.array_equal(_bits(g), _bits(w)), n_terms
+    assert float.hex(got[2]) == float.hex(want[2])
+
+
+def _unit_arguments(q_max):
+    # a/q for the units a of every q <= q_max, as conductor_totals forms
+    # them; x = 1 stands for q = 1
+    parts = [np.ones(1)]
+    for q in range(2, q_max + 1):
+        a = np.arange(1, q)
+        parts.append(a[np.gcd(a, q) == 1] / q)
+    return np.concatenate(parts)
+
+
+def test_kernel_matches_neumaier_on_unit_grids():
+    # every unit argument of q <= 1500 (684,182 points) in the blocks the
+    # scan uses
+    x = _unit_arguments(1500)
+    for start in range(0, x.size, EM_BLOCK_POINTS):
+        _assert_same_as_oracle(x[start:start + EM_BLOCK_POINTS],
+                               DEFAULT_EM_TERMS)
+
+
+@pytest.mark.parametrize("n_terms", [10, 12, 30, 50])
+def test_kernel_matches_neumaier_at_other_depths(n_terms):
+    # units of small q, arguments above 1 (a <= 3q, as stieltjes01 takes
+    # them) and tiny arguments in [1e-9, 1e-3]
+    above = np.concatenate([np.arange(1, 3 * q + 1) / q
+                            for q in range(1, 61)])
+    tiny = np.geomspace(1e-9, 1e-3, 1001)
+    _assert_same_as_oracle(np.concatenate([_unit_arguments(200), above, tiny]),
+                           n_terms)
+
+
+def test_kernel_matches_neumaier_on_scalars():
+    for a, q in ((1, 1), (1, 3), (7, 2), (3, 1000), (2999, 1000)):
+        _assert_same_as_oracle(np.float64(a / q), DEFAULT_EM_TERMS)
+
+
+def _scalar_neumaier(terms):
+    total = comp = 0.0
+    for term in terms:
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+    return total + comp
+
+
+finite = st.floats(min_value=-1e12, max_value=1e12,
+                   allow_nan=False, allow_infinity=False)
+wide = st.floats(min_value=-1e300, max_value=1e300,
+                 allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.lists(finite, min_size=4, max_size=4),
+                min_size=1, max_size=50))
+def test_neumaier_step_vector_lanes(rows):
+    # each of the 4 lanes must equal an independent scalar Neumaier sum
+    total = np.zeros(4)
+    comp = np.zeros(4)
+    for row in rows:
+        total, comp = neumaier_step(total, comp, np.array(row))
+    final = total + comp
+    for lane in range(4):
+        assert math.isclose(final[lane],
+                            _scalar_neumaier(row[lane] for row in rows),
+                            rel_tol=2.3e-16, abs_tol=5e-324)
+
+
+@settings(max_examples=200)
+@given(*(st.lists(wide, min_size=4, max_size=4) for _ in range(3)))
+def test_branch_free_steps_are_the_neumaier_step(totals, terms, comps):
+    # lane by lane, the branch-free steps give the new total and the
+    # compensation Neumaier's branch gives, bit for bit; _diff_step takes
+    # the negated term
+    total = np.array(totals)
+    term = np.array(terms)
+    want_total, want_comp = neumaier_step(total, np.array(comps), term)
+    for step, arg in ((_sum_step, term), (_diff_step, -term)):
+        comp = np.array(comps)
+        out, e, f = np.empty(4), np.empty(4), np.empty(4)
+        new, free = step(total, arg, comp, out, e, f)
+        assert new is out and free is total
+        assert np.array_equal(_bits(new), _bits(want_total))
+        assert np.array_equal(_bits(comp), _bits(want_comp))
