@@ -83,12 +83,13 @@ class GammaQ:
 
 
 #: Unit arguments a/q per _em_laurent call in conductor_totals. On a 2-core
-#: x86-64 host (numpy 2.4, N = 50) the in-place kernel costs 0.44 to 0.50 us
-#: per point in blocks of 4096 to 16384 points, 0.55 us at 32768 and 0.71 us
-#: at 1024, where numpy's per-call overhead shows. Of those sizes, 16384
-#: gives the fastest cold scan 2048 (5 of 5 pairs against 8192, 2.15 s vs
-#: 2.19 s): whole conductors fill its blocks to 93% (278 calls), against
-#: 87% (594 calls) at 8192.
+#: x86-64 host (numpy 2.4, N = 16) the in-place kernel costs 0.25 us per
+#: point in blocks of 4096 to 16384 points, 0.27 us at 32768 and 0.34 us at
+#: 1024, where numpy's per-call overhead shows. Whole conductors fill the
+#: blocks of a cold scan 2048 to 93% at 16384 (278 calls), against 87% at
+#: 8192 (594 calls). In 7 rounds of cold scan 2048 on 2 workers, neither
+#: 8192 nor 32768 beat 16384 in every round (medians 1.68 s, 1.67 s and
+#: 1.63 s), so the size stays.
 EM_BLOCK_POINTS = 16384
 
 

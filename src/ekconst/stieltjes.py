@@ -35,8 +35,11 @@ import numpy as np
 #: Euler-Mascheroni constant, 20 digits.
 EULER_GAMMA = 0.57721566490153286061
 
-#: Default number of Euler-Maclaurin partial terms.
-DEFAULT_EM_TERMS = 50
+#: Default number of Euler-Maclaurin partial terms: the smallest depth >= 10
+#: whose tail bound, at its worst argument x -> 0+, is at most 2^-56, an
+#: eighth of the unit roundoff (6.9e-18 at 16, 1.7e-17 at 15). Deeper runs
+#: change no double measurably; each depth keeps its own precision tag.
+DEFAULT_EM_TERMS = 16
 
 # (B_{2j} / (2j), H_{2j-1}) for j = 1..6, as exact fractions evaluated once.
 _BERN_OVER_2J = [

@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from ekconst import (EULER_GAMMA, CacheCorruption, ConductorCache,
-                     ConductorTotal, build_group, conductor_grid,
-                     conductor_totals, divisors, gamma_q, precision_tag,
-                     primitive_characters, scan_range, stieltjes_pair_table,
-                     totient)
+from ekconst import (DEFAULT_EM_TERMS, EULER_GAMMA, CacheCorruption,
+                     ConductorCache, ConductorTotal, build_group,
+                     conductor_grid, conductor_totals, divisors, gamma_q,
+                     precision_tag, primitive_characters, scan_range,
+                     stieltjes_pair_table, totient)
 from ekconst import ekgamma, stieltjes
 from ekconst.ekgamma import CACHE_ENV_VAR, MIN_ABS_L, _CACHE_HEADER
 from lvalue_oracle import l_values
@@ -56,7 +56,7 @@ def test_gamma_q_is_sum_over_conductors(shared_cache):
             total.append(conductor_totals([d])[0].total)
         assert rec.value == pytest.approx(math.fsum(total), abs=1e-13)
         assert rec.q == q
-        assert rec.tag == precision_tag(50)
+        assert rec.tag == precision_tag(DEFAULT_EM_TERMS)
         assert rec.err_estimate > 0
 
 
@@ -96,7 +96,7 @@ def test_no_primitive_layer_conductor_2_mod_4():
 # ------------------------------------------- batched conductor totals
 
 
-def _per_table_total(q, n_terms=50):
+def _per_table_total(q, n_terms):
     """One conductor's total from its own full table of gamma_0 and gamma_1
     at a/q for a = 1..q, indexed at the units: the route conductor_totals
     replaced, kept as its oracle."""
@@ -124,10 +124,12 @@ def _bits(rec):
     return (rec.q, rec.total.hex(), rec.imag_residual.hex(), rec.tag)
 
 
-def test_conductor_totals_bit_identical_to_per_conductor_tables():
-    # includes q = 1 and every q = 2 mod 4, which get the zero total
-    got = conductor_totals(range(1, 1501))
-    assert [_bits(r) for r in got] == [_bits(_per_table_total(q))
+@pytest.mark.parametrize("n_terms", [DEFAULT_EM_TERMS, 50])
+def test_conductor_totals_bit_identical_to_per_conductor_tables(n_terms):
+    # includes q = 1 and every q = 2 mod 4, which get the zero total; at 50
+    # it pins that --em-terms 50 still reproduces the em50 rows
+    got = conductor_totals(range(1, 1501), n_terms)
+    assert [_bits(r) for r in got] == [_bits(_per_table_total(q, n_terms))
                                        for q in range(1, 1501)]
 
 
@@ -207,7 +209,7 @@ def test_cache_round_trip_is_bit_exact(tmp_path):
     reloaded = ConductorCache(path)
     assert len(reloaded) == 2
     for rec in _sample_records():
-        got = reloaded.get(rec.q)
+        got = reloaded.get(rec.q, n_terms=50)
         assert got == rec  # dataclass equality: floats must be identical
 
 

@@ -3,9 +3,13 @@
 Cross-validation strategy: the Gauss closed form and the Euler-Maclaurin
 tail expansion are two independent routes to gamma_0; shift recurrences and
 a pair of exact closed-form differences pin gamma_1. The branch-free
-kernel is checked bit for bit against its Neumaier form in em_oracle.
+kernel is checked bit for bit against its Neumaier form in em_oracle, and
+both coefficients against the frozen mpmath table em_reference.csv.
 """
+import csv
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,42 @@ def test_more_terms_tightens_error_bound():
     e_small = stieltjes01(1, 7, n_terms=12).err_estimate
     e_big = stieltjes01(1, 7, n_terms=DEFAULT_EM_TERMS).err_estimate
     assert e_big < e_small
+
+
+def test_default_depth_is_smallest_meeting_tail_target():
+    # the tail bound is largest as x -> 0+; the default is the first depth
+    # >= 10 at which it is at most 2^-56, an eighth of the unit roundoff
+    def bound(n):
+        return _em_laurent(np.array([1e-9]), n)[2]
+    assert bound(DEFAULT_EM_TERMS) <= 2.0**-56
+    assert all(bound(n) > 2.0**-56 for n in range(10, DEFAULT_EM_TERMS))
+
+
+def _em_reference():
+    # gamma_0 and gamma_1 at a/q from mpmath, written by gen_em_reference.py
+    path = Path(__file__).with_name("em_reference.csv")
+    with path.open(encoding="ascii") as fh:
+        rows = list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+    return [(int(r["a"]), int(r["q"]), r["gamma0"], r["gamma1"])
+            for r in rows]
+
+
+def _worst_error(got, want):
+    # exact difference from the 25-digit value, relative where |value| > 1
+    # and absolute otherwise
+    exact = [Fraction(w) for w in want]
+    return max(float(abs(Fraction(g) - e) / max(1, abs(e)))
+               for g, e in zip(got.tolist(), exact))
+
+
+@pytest.mark.parametrize("n_terms", [DEFAULT_EM_TERMS, 50])
+def test_euler_maclaurin_against_mpmath(n_terms):
+    a, q, g0, g1 = zip(*_em_reference())
+    assert len(a) >= 150
+    c0, c1, _ = _em_laurent(np.array(a) / np.array(q), n_terms)
+    assert _worst_error(c0, g0) <= 1e-15
+    assert _worst_error(-c1, g1) <= 2e-15
 
 
 # ------------------------------------------- kernel against the Neumaier form
