@@ -72,7 +72,8 @@ import numpy as np
 
 from .accum import fsum_array
 from .ekgamma import ConductorCache, gamma_q
-from .sieve import ArithmeticTables, divisors, factorize, mobius, totient
+from .sieve import (ArithmeticTables, coprime_mask, divisors, factorize,
+                    mobius, residues, totient)
 from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
 
 
@@ -196,7 +197,7 @@ def progression_term(q: int, x: float, tables: ArithmeticTables) -> float:
     pp, lg = _prime_powers_upto(tables, x)
     vals = lg * np.log(x / pp)
     full = fsum_array(vals)
-    prog = fsum_array(vals[pp % q == 1 % q])
+    prog = fsum_array(vals[residues(pp, q) == 1 % q])
     return (totient(q) * prog - full) / (x - 1.0)
 
 
@@ -229,7 +230,7 @@ def window_term(q: int, x: float, x_split: float, tables: ArithmeticTables,
     jw = x * (1.0 / a - 1.0 / hi) - (math.log(hi) - np.log(a))
     vals = lg * jw
     full = fsum_array(vals)
-    prog = fsum_array(vals[pp % q == 1 % q])
+    prog = fsum_array(vals[residues(pp, q) == 1 % q])
     return (totient(q) * prog - full) / (x - 1.0)
 
 
@@ -244,7 +245,7 @@ def _class_table(d: int) -> np.ndarray:
         me = mobius(d // e)
         if me:
             table[1 % e::e] += totient(e) * me
-    table[np.gcd(np.arange(d), d) != 1] = 0
+    table[~coprime_mask(d)] = 0
     return table
 
 
@@ -253,7 +254,7 @@ def _weighted_prime_sum(weights: np.ndarray, x: float,
     """Exactly rounded sum of Lambda(n) (x - n)/n * weights[n mod m] over
     the prime powers n <= x, where m = len(weights)."""
     pp, lg = _prime_powers_upto(tables, x)
-    w = weights[pp % weights.size]
+    w = weights[residues(pp, weights.size)]
     nz = w != 0
     n = pp[nz]
     return fsum_array(lg[nz] * (x - n) / n * w[nz])

@@ -287,8 +287,8 @@ def test_probe_failed_out_prints_nothing(tmp_path, capsys):
 def test_probe_selfcheck_failure_detected(monkeypatch, capsys):
     real = experiments._chain_class_sums
 
-    def corrupted(arr, w, chain):
-        out = real(arr, w, chain)
+    def corrupted(*args):
+        out = real(*args)
         for m, sums in out:
             if m == 7:
                 sums[2] += 1e-3      # one bucket of one level <= 50

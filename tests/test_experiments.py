@@ -1,5 +1,6 @@
 """Dyadic-range experiments, probes and serialization."""
 import dataclasses
+import hashlib
 import json
 import math
 from functools import partial
@@ -325,6 +326,25 @@ def test_folded_levels_match_one_pass_oracle(tables_big, x, prime_powers):
             else:                  # folded: the same weights, reordered
                 assert abs(errors[m] - want_error) <= 1e-13 * psi_x, m
                 assert np.abs(sums - want).max() <= 1e-13 * psi_x, m
+
+
+#: sha256 of the per-level float.hex lines and the total of
+#: eh_probe(1e6, 0.5), generated at the commit before residues() and
+#: coprime_mask() entered the probe kernel (from `arr % top` and the gcd
+#: rule); the kernel must keep every bit.
+PROBE_1E6_DIGESTS = {
+    False: "9cb3efbaf6804ec3ccf589cebd4f7ff82c9eb30f45fc06e80f587dd0ac997c63",
+    True: "1e85d4f1ee983ed2c5485d604da0ac6cc821e27a34a61698679df25b10542634",
+}
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
+def test_probe_1e6_bits_frozen(tables_big, prime_powers):
+    probe = eh_probe(1e6, 0.5, tables_big, prime_powers)
+    text = "\n".join(f"{m} {e.hex()}" for m, e in probe.per_m)
+    text += f"\ntotal {probe.total.hex()}\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PROBE_1E6_DIGESTS[prime_powers]
 
 
 def test_residue_sum_checks_do_not_depend_on_the_batch(tables_small):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from ekconst import (CapacityError, build_tables, divisors, factorize, mobius,
                      psi, psi_mod, psi_mod_stream, psi_stream, totient)
-from ekconst.sieve import MAX_TABLE_BOUND, STREAM_SEGMENT, _small_primes
+from ekconst.sieve import (MAX_TABLE_BOUND, STREAM_SEGMENT, _small_primes,
+                           coprime_mask, residues)
 
 
 def _factor(n):
@@ -173,3 +174,64 @@ def test_capacity_guard():
         build_tables(MAX_TABLE_BOUND + 1)
     with pytest.raises(ValueError):
         build_tables(1)
+
+
+def _residue_bases():
+    """The prime powers below 1e5 and the edges of the dtype, as uint32
+    and as int64 (with values up to 2^40)."""
+    pp = build_tables(100_000).prime_powers
+    u32 = np.concatenate([pp, [0, 2**32 - 2, 2**32 - 1]]).astype(np.uint32)
+    i64 = np.concatenate([pp, [0, 2**32, 2**40 - 1, 2**40]]).astype(np.int64)
+    return u32, i64
+
+
+def test_residues_equal_mod_for_every_probe_level():
+    # every level of probe 1e7 at epsilon 0.5, with and without buffers
+    for base in _residue_bases():
+        quot = np.empty_like(base)
+        out = np.empty(base.size, dtype=np.intp)
+        for m in range(1, 3163):
+            want = base % m
+            got = residues(base, m)
+            assert got.dtype == base.dtype
+            assert np.array_equal(got, want), (base.dtype, m)
+            assert residues(base, m, quot, out) is out
+            assert np.array_equal(out, want), (base.dtype, m)
+
+
+def _near_multiples(top):
+    """Values at and around multiples of m, 0 and m - 1 among them, plus
+    arbitrary values below top."""
+    def build(m):
+        near = st.integers(min_value=0, max_value=top // m).flatmap(
+            lambda k: st.sampled_from([k * m - 1, k * m, k * m + 1]))
+        vals = st.one_of(near, st.integers(min_value=0, max_value=top),
+                         st.sampled_from([0, m - 1, m, top]))
+        return st.tuples(st.just(m), st.lists(
+            vals.filter(lambda v: 0 <= v <= top), min_size=1, max_size=40))
+    return st.integers(min_value=1, max_value=top).flatmap(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_multiples(2**32 - 1))
+def test_residues_sweep_uint32(case):
+    m, vals = case
+    arr = np.array(vals, dtype=np.uint32)
+    assert np.array_equal(residues(arr, m), arr % m)
+    out = np.empty(arr.size, dtype=np.intp)
+    residues(arr, m, np.empty_like(arr), out)
+    assert out.tolist() == [v % m for v in vals]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_multiples(2**40))
+def test_residues_sweep_int64(case):
+    m, vals = case
+    arr = np.array(vals, dtype=np.int64)
+    assert residues(arr, m).tolist() == [v % m for v in vals]
+
+
+def test_coprime_mask_matches_gcd_rule():
+    for m in range(1, 5001):
+        assert np.array_equal(coprime_mask(m),
+                              np.gcd(np.arange(m), m) == 1), m
