@@ -155,8 +155,8 @@ def layer_weight(p: int, v: int, q: int) -> int:
 
 def conductor_correction(q: int, x: float, tables: ArithmeticTables) -> float:
     """Cost of reading every primitive character mod q instead of mod its
-    conductor; nonpositive by construction. The weight at p^v is
-    layer_weight(p, v, q)."""
+    conductor; nonpositive by construction, and +0.0 when no layer weight
+    is nonzero. The weight at p^v is layer_weight(p, v, q)."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if x <= 1 or x > tables.bound:
@@ -169,7 +169,7 @@ def conductor_correction(q: int, x: float, tables: ArithmeticTables) -> float:
             if w:
                 terms.append(w * _lambda_at(tables, n) * (x - n) / n)
             n, v = n * p, v + 1
-    return -math.fsum(terms) / (x - 1.0)
+    return 0.0 - math.fsum(terms) / (x - 1.0)
 
 
 def ramified_term(q: int, x: float, tables: ArithmeticTables) -> float:

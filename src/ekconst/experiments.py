@@ -6,13 +6,15 @@ log q; the statistics measure how tightly the two track each other on
 average. The probe measures, for every level m up to x^(1-epsilon), the
 worst prime-counting error over the coprime residue classes mod m.
 
+The self-check residue_sum_checks compares the probe's class sums with an
+exact sum of Lambda over the prime powers they leave out of psi(x).
+
 Emission is deliberately dumb: fixed headers, fixed significant digits,
 LF line endings, records in ascending order, so identical inputs produce
 byte-identical files.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -23,11 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .accum import iter_floats
 from .ekgamma import (ConductorCache, _gamma_from_conductors,
                       conductor_totals)
-from .sieve import (ArithmeticTables, coprime_mask, divisors, factorize,
-                    psi, residues)
+from .sieve import (ArithmeticTables, _higher_powers, coprime_mask,
+                    divisors, factorize, psi, residues)
 from .stieltjes import DEFAULT_EM_TERMS
 
 SCAN_HEADER = "q,gamma_q,log_q,ratio,abs_dev"
@@ -223,10 +224,15 @@ def _probe_top(m_max: int, m: int) -> int:
     return m << ((m_max // m).bit_length() - 1)
 
 
-def _check_top(m: int) -> int:
-    """m * 2^j with at least CHECK_FOLDS factors of 2: it depends on m
-    alone, so a level checks the same in any batch."""
-    return m << max(0, CHECK_FOLDS - ((m & -m).bit_length() - 1))
+def _check_top(m: int, limit: int) -> int:
+    """m * 2^j with at least CHECK_FOLDS factors of 2, halved while it
+    exceeds both m and limit: it depends on m and limit alone, so a level
+    checks the same in any batch, and its pass has at most max(m, limit)
+    buckets."""
+    top = m << max(0, CHECK_FOLDS - ((m & -m).bit_length() - 1))
+    while top > max(m, limit):
+        top >>= 1
+    return top
 
 
 def _residue_buffers(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,62 +344,53 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
                          per_m=tuple(per_m))
 
 
-def _exact_parts(values: np.ndarray) -> list[float]:
-    """Floats whose exact sum is the exact sum of the array values: the
-    exactly rounded sum, then the exactly rounded remainder, until none is
-    left. Usually two parts."""
-    parts: list[float] = []
-    while True:
-        rest = math.fsum(itertools.chain(iter_floats(values),
-                                         [-p for p in parts]))
-        if rest == 0.0:
-            return parts
-        parts.append(rest)
-
-
 def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
                        prime_powers: bool = False
                        ) -> list[tuple[float, float]]:
     """Both sides of the identity sum_{(a,m)=1} E(x; m, a) =
-    sum_{p <= x, gcd(p, m) = 1} log p - psi(x), for each m in levels,
-    computed independently: residue bucketing on the left, divisibility
-    filtering on the right.
+    sum_{p <= x, gcd(p, m) = 1} log p - psi(x), for each level 1 <= m <= x,
+    computed independently.
 
-    The left side takes its class sums from the probe's chains. Each level
-    is folded from the pass at _check_top(m), which depends on m alone, so
-    the levels 1..50 make 25 passes and residue_sum_check(m) is the same as
-    m's entry in any batch. psi(x) and the total weight are summed once for
-    the batch. The right side is one exactly rounded fsum of the total
-    weight minus the weights at multiples of the primes dividing m; the
-    total enters as parts whose exact sum is the exact total, so the right
-    side is the coprime weight sum rounded once.
+    The left side sums the class sums of the probe's chains, less psi(x).
+    Each level is folded from the pass at _check_top(m, number of weights),
+    which depends on m, x and the base alone: the levels 1..50 make 25
+    passes at x >= 1e4, a level checks the same in any batch, and a pass
+    has at most max(m, number of weights) buckets.
+
+    The right side uses no psi(x) and no pass over the weights: it is minus
+    one exact fsum of the Lambda(n) that psi(x) has and the coprime weights
+    lack, a few hundred values read from tables.prime_power_logs at the
+    prime factors of m and the higher powers of the primes <= sqrt(x).
     """
     levels = list(levels)
     if any(m < 1 for m in levels):
         raise ValueError(f"every m must be >= 1, got {min(levels)}")
     if not 2.0 <= x <= tables.bound:
         raise ValueError(f"need 2 <= x <= {tables.bound}, got {x}")
+    if any(m > x for m in levels):
+        raise ValueError(f"every m must be <= x={x}, got {max(levels)}")
     psi_x = psi(tables, x)
     arr, w = _weights_upto(tables, x, prime_powers)
-    total = _exact_parts(w)     # before the buffers: they would raise its peak
     quot, res = _residue_buffers(arr)
     wanted = set(levels)
     lhs = {m: math.fsum((sums - psi_x / sums.size).tolist())
-           for chain in _chains(wanted, _check_top)
+           for chain in _chains(wanted, partial(_check_top, limit=arr.size))
            for m, sums in _chain_class_sums(arr, w, chain, quot, res)
            if m in wanted}
-    multiples: dict[int, np.ndarray] = {}   # p -> indices of p | arr
+    xi = math.floor(x)
+    roots = tables.primes[:np.searchsorted(tables.primes, math.isqrt(xi),
+                                           side="right")].tolist()
+    higher = [pv for pv, _ in _higher_powers(roots, xi)]    # v >= 2
     out = []
     for m in levels:
-        hit = [np.empty(0, dtype=np.intp)]
-        for p, _ in factorize(m):
-            if p not in multiples:
-                multiples[p] = np.flatnonzero(
-                    residues(arr, p, quot, res) == 0)
-            hit.append(multiples[p])
-        excluded = w[np.unique(np.concatenate(hit))]
-        rhs = math.fsum(total + (-excluded).tolist()) - psi_x
-        out.append((lhs[m], rhs))
+        # psi(x) has Lambda(n) that the coprime weights lack at n = p | m
+        # and at the higher powers: all of them on the primes base, those
+        # of the p | m on the prime-powers base
+        removed = [p for p, _ in factorize(m)] + [
+            pv for pv in higher if not prime_powers or math.gcd(pv, m) > 1]
+        logs = tables.prime_power_logs[
+            np.searchsorted(tables.prime_powers, removed)]
+        out.append((lhs[m], -math.fsum(logs.tolist())))
     return out
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 
 import numpy as np
 
-from .accum import fsum_array
+from .accum import fsum_array, iter_floats
 
 #: Hard cap on table construction; beyond this use the streaming functions.
 #: At the cap the tables take 132 MiB, and a process that builds them peaks
@@ -221,38 +222,36 @@ def _higher_powers(base: list[int],
             pv *= p
 
 
-def _stream_core(x: float, residue: tuple[int, int] | None,
-                 segment: int) -> float:
+def _stream_core(x: float, q: int, a: int, segment: int) -> float:
+    """psi(x; q, a) from the segmented sieve: the logs of the primes of each
+    segment and of the higher prime powers, summed in one fsum."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     xi = int(math.floor(x))
-    if xi < 2:
-        return 0.0
     base_list = _small_primes(isqrt(xi)).tolist()
-    chunk_sums: list[float] = []
-    for found in _segment_primes(xi, base_list, segment):
-        if residue is not None:
-            q, a = residue
-            found = found[residues(found, q) == a]
-        if found.size:
-            chunk_sums.append(fsum_array(np.log(found.astype(np.float64))))
-
-    chunk_sums.append(math.fsum(
-        logp for pv, logp in _higher_powers(base_list, xi)
-        if residue is None or pv % residue[0] == residue[1]))
-    return math.fsum(chunk_sums)
+    segments = _segment_primes(xi, base_list, segment)
+    if q > 1:
+        segments = (found[residues(found, q) == a] for found in segments)
+    prime_logs = chain.from_iterable(
+        iter_floats(np.log(found.astype(np.float64))) for found in segments)
+    higher_logs = (logp for pv, logp in _higher_powers(base_list, xi)
+                   if pv % q == a)
+    return math.fsum(chain(prime_logs, higher_logs))
 
 
 def psi_stream(x: float, *, segment: int = STREAM_SEGMENT) -> float:
-    """Chebyshev psi(x) without tables; memory stays O(segment + sqrt(x))."""
-    return _stream_core(x, None, segment)
+    """Chebyshev psi(x) without tables; memory stays O(segment + sqrt(x)).
+    Equal to psi(build_tables(bound), x) bit for bit: the same logs, summed
+    exactly."""
+    return _stream_core(x, 1, 0, segment)
 
 
 def psi_mod_stream(x: float, q: int, a: int, *,
                    segment: int = STREAM_SEGMENT) -> float:
-    """psi(x; q, a) without tables, same contract as psi_mod."""
+    """psi(x; q, a) without tables, same contract as psi_mod and equal to it
+    bit for bit."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     if not 0 <= a < q:
         raise ValueError(f"residue must satisfy 0 <= a < q, got a={a}, q={q}")
-    return _stream_core(x, (q, a), segment)
+    return _stream_core(x, q, a, segment)

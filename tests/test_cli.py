@@ -92,6 +92,14 @@ def test_decompose_identity_ok(tmp_path, capsys):
     assert float(_value(out, "ramified")) >= 0.0
 
 
+def test_decompose_zero_conductor_correction_is_unsigned(tmp_path, capsys):
+    # 115 = 5 * 23 has no nonzero layer weight: the sum is empty
+    code, out, _ = _run(capsys, "decompose", "115", "--x", "1e5",
+                        "--bound", "100000", "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert _value(out, "conductor_correction") == "0"
+
+
 def test_decompose_explicit_split(tmp_path, capsys):
     code, out, _ = _run(capsys, "decompose", "5", "--x", "1000", "--e", "2",
                         "--bound", "100000", "--cache-dir", str(tmp_path))
@@ -295,6 +303,16 @@ def test_probe_selfcheck_failure_detected(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(experiments, "_chain_class_sums", corrupted)
+    code, out, _ = _run(capsys, "probe", "1e4", "--workers", "1")
+    assert code == EXIT_CHECK_FAILED
+    assert "selfcheck=FAILED" in out
+
+
+def test_probe_selfcheck_sees_psi(monkeypatch, capsys):
+    # the right side of the self-check does not use psi(x)
+    real = experiments.psi
+    monkeypatch.setattr(experiments, "psi",
+                        lambda tables, x: real(tables, x) + 1e-3)
     code, out, _ = _run(capsys, "probe", "1e4", "--workers", "1")
     assert code == EXIT_CHECK_FAILED
     assert "selfcheck=FAILED" in out

@@ -301,7 +301,9 @@ def test_pass_counts():
     probe = experiments._chains(range(1, 3163),
                                 partial(experiments._probe_top, 3162))
     assert len(probe) == 1581                   # probe 1e7, epsilon 0.5
-    check = experiments._chains(range(1, 51), experiments._check_top)
+    check = experiments._chains(range(1, 51),
+                                partial(experiments._check_top,
+                                        limit=664_579))   # primes < 1e7
     assert len(check) == 25
     assert all(chain[0] % 2**experiments.CHECK_FOLDS == 0 for chain in check)
 
@@ -389,6 +391,52 @@ def test_residue_sum_checks_validation(tables_small):
         residue_sum_checks([3, 0], 1e4, tables_small)
     with pytest.raises(ValueError):
         residue_sum_checks([3], 1e6, tables_small)
+
+
+@pytest.mark.parametrize("m", [10**4 + 1, 10**6 + 1, 2**27 + 1])
+def test_residue_sum_checks_reject_levels_above_x(tables_small, m):
+    # a pass at m * 2^5 would take 32M buckets for 10**6 + 1, and
+    # 2**27 + 1 does not fit the uint32 residue base
+    with pytest.raises(ValueError, match=f"got {m}"):
+        residue_sum_checks([3, m], 1e4, tables_small)
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
+def test_check_passes_have_at_most_max_m_weights_buckets(
+        tables_small, monkeypatch, prime_powers):
+    levels = [1, 97, 1000, 1229, 1230, 5001, 9999, 10000]
+    tops = []
+    real = experiments._chain_class_sums
+
+    def spy(arr, w, chain, *buffers):
+        tops.append((chain[0], max(set(chain) & set(levels)), arr.size))
+        return real(arr, w, chain, *buffers)
+
+    monkeypatch.setattr(experiments, "_chain_class_sums", spy)
+    checks = residue_sum_checks(levels, 1e4, tables_small, prime_powers)
+    assert tops and all(top <= max(m, n) for top, m, n in tops)
+    for m, (lhs, rhs) in zip(levels, checks):
+        assert lhs == pytest.approx(rhs, abs=1e-9), m
+
+
+def test_check_tops_up_to_200_keep_five_factors_of_2():
+    # 9,592 primes below 1e5: the bucket bound leaves every level <= 200
+    # at x >= 1e5 on its m * 2^5 pass, so its left side keeps every bit
+    for m in range(1, 201):
+        v = (m & -m).bit_length() - 1
+        assert experiments._check_top(m, 9592) == m << max(0, 5 - v), m
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
+def test_residue_sum_check_sees_psi(tables_small, monkeypatch,
+                                    prime_powers):
+    # the right side does not use psi(x), so an error in it shows
+    lhs, rhs = residue_sum_check(6, 1e5, tables_small, prime_powers)
+    assert abs(lhs - rhs) <= 1e-10
+    monkeypatch.setattr(experiments, "psi",
+                        lambda tables, x: psi(tables, x) + 1e-3)
+    lhs, rhs = residue_sum_check(6, 1e5, tables_small, prime_powers)
+    assert abs(lhs - rhs) == pytest.approx(1e-3, rel=1e-6)
 
 
 # -------------------------------------------------------------- emission

@@ -157,16 +157,27 @@ def test_divisor_sum_of_totient(tables):
 
 
 def test_streaming_matches_tables(tables):
-    assert psi_stream(3000, segment=1 << 8) == pytest.approx(
-        psi(tables, 3000), abs=1e-9)
-    assert psi_mod_stream(3000, 4, 1, segment=1 << 8) == pytest.approx(
-        psi_mod(tables, 3000, 4, 1), abs=1e-9)
+    assert psi_stream(3000, segment=1 << 8) == psi(tables, 3000)
+    assert psi_mod_stream(3000, 4, 1, segment=1 << 8) == \
+        psi_mod(tables, 3000, 4, 1)
 
 
-def test_streaming_reaches_1e8_pnt_band():
-    # no external value: psi(x) ~ x with error well under 1% at 1e8
-    val = psi_stream(1e8)
-    assert abs(val - 1e8) < 0.01 * 1e8
+def test_streaming_equals_tables_bit_for_bit(tables_small, tables_big):
+    # the same logs, rounded once: per-segment sums rounded first move
+    # psi_stream(1e6) by one ulp
+    small = build_tables(10**6)
+    assert psi_stream(10**6).hex() == psi(small, 10**6).hex()
+    assert psi_stream(1e7).hex() == psi(tables_big, 1e7).hex()
+    assert psi_mod_stream(50007, 7, 3) == psi_mod(tables_small, 50007, 7, 3)
+    for q, a in ((1, 0), (4, 3), (30, 7), (97, 0)):
+        assert psi_mod_stream(99999, q, a, segment=1000) == \
+            psi_mod(tables_small, 99999, q, a), (q, a)
+
+
+def test_streaming_equals_tables_at_the_cap():
+    # the largest tables, 0.7 s and about 212 MB
+    expected = psi(build_tables(MAX_TABLE_BOUND), MAX_TABLE_BOUND)
+    assert psi_stream(MAX_TABLE_BOUND) == expected
 
 
 def test_capacity_guard():
