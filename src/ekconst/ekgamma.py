@@ -181,6 +181,8 @@ def _dft_total(group: CharacterGroup, w0: np.ndarray, w1: np.ndarray,
             "log-derivatives would be unreliable"
         )
     logderiv = -math.log(q) - sel1 / sel0
+    # math.fsum, not fsum_array: a conductor has a few hundred characters,
+    # where the set-up of fsum_array's chunk costs more than Python floats
     total = math.fsum(logderiv.real.tolist())
     imag = abs(math.fsum(logderiv.imag.tolist()))
     return ConductorTotal(q=q, total=total, imag_residual=imag, tag=tag)

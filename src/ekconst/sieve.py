@@ -1,11 +1,13 @@
 """Sieved prime tables and Chebyshev psi sums.
 
-One segmented sieve yields the primes up to a bound a segment at a time.
-build_tables() keeps them as compact ascending arrays: the primes, the prime
-powers, and log p at each prime power p^v (the von Mangoldt weight). These
-are what every downstream Lambda-weighted sum iterates over. The streaming
+One segmented sieve yields the primes up to a bound: 2, then the odd
+primes a segment at a time, with one flag per odd number. build_tables()
+keeps them as compact ascending arrays: the primes, the prime powers, and
+log p at each prime power p^v (the von Mangoldt weight). These are what
+every downstream Lambda-weighted sum iterates over. The streaming
 variants of psi and psi_mod run the same sieve but never keep more than one
-segment, so they reach beyond the table capacity.
+segment, so they reach beyond the table capacity; they add the exact sums of
+the segments as fixed-point integers (accum.fixed_sum) and round once.
 
 Everything that needs the factorization of a single integer (divisors,
 totient, Moebius, the prime factors of a modulus) goes through factorize().
@@ -17,19 +19,19 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
 from math import isqrt
 
 import numpy as np
 
-from .accum import fsum_array, iter_floats
+from .accum import fixed_sum, fsum_array, round_fixed
 
 #: Hard cap on table construction; beyond this use the streaming functions.
 #: At the cap the tables take 132 MiB, and a process that builds them peaks
 #: at about 212 MiB RSS (measured with numpy 2.4 on x86-64).
 MAX_TABLE_BOUND = 100_000_000
 
-#: Segment length of the sieve.
+#: Odd numbers per segment of the sieve; a segment spans twice as many
+#: integers.
 STREAM_SEGMENT = 1 << 20
 
 
@@ -194,20 +196,31 @@ def _small_primes(limit: int) -> np.ndarray:
 
 def _segment_primes(xi: int, base: list[int],
                     segment: int) -> Iterator[np.ndarray]:
-    """The primes in [2, xi], ascending, one segment of length segment at a
-    time; base must hold the primes up to isqrt(xi)."""
-    lo = 2
+    """The primes in [2, xi], ascending: 2 alone, then the odd primes one
+    segment of `segment` odd numbers at a time; base must hold the primes
+    up to isqrt(xi)."""
+    if xi < 2:
+        return
+    yield np.array([2], dtype=np.int64)
+    odd_base = base[1:]
+    lo = 3
     while lo <= xi:
-        hi = min(lo + segment, xi + 1)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base:
+        hi = min(lo + 2 * segment, xi + 1)
+        # flags[i] stands for lo + 2i; the odd multiples of p are p apart
+        flags = np.ones((hi - lo + 1) // 2, dtype=bool)
+        for p in odd_base:
             if p * p >= hi:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
-            flags[start - lo:: p] = False
+            if start % 2 == 0:
+                start += p
+            flags[(start - lo) // 2:: p] = False
         # Base primes land in the first segments and are kept: marking
         # starts at p*p, so p itself is never struck.
-        yield (np.nonzero(flags)[0] + lo).astype(np.int64, copy=False)
+        found = np.flatnonzero(flags)
+        found *= 2
+        found += lo
+        yield found
         lo = hi
 
 
@@ -223,8 +236,9 @@ def _higher_powers(base: list[int],
 
 
 def _stream_core(x: float, q: int, a: int, segment: int) -> float:
-    """psi(x; q, a) from the segmented sieve: the logs of the primes of each
-    segment and of the higher prime powers, summed in one fsum."""
+    """psi(x; q, a) from the segmented sieve: the exact sums of the logs of
+    the primes of each segment and of the higher prime powers, added as
+    fixed-point integers and rounded once."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     xi = int(math.floor(x))
@@ -232,11 +246,13 @@ def _stream_core(x: float, q: int, a: int, segment: int) -> float:
     segments = _segment_primes(xi, base_list, segment)
     if q > 1:
         segments = (found[residues(found, q) == a] for found in segments)
-    prime_logs = chain.from_iterable(
-        iter_floats(np.log(found.astype(np.float64))) for found in segments)
-    higher_logs = (logp for pv, logp in _higher_powers(base_list, xi)
-                   if pv % q == a)
-    return math.fsum(chain(prime_logs, higher_logs))
+    higher_logs = [logp for pv, logp in _higher_powers(base_list, xi)
+                   if pv % q == a]
+    # logs are finite and small, so fixed_sum never returns None here
+    total = fixed_sum(np.array(higher_logs, dtype=np.float64))
+    for found in segments:
+        total += fixed_sum(np.log(found.astype(np.float64)))
+    return round_fixed(total)
 
 
 def psi_stream(x: float, *, segment: int = STREAM_SEGMENT) -> float:

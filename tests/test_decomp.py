@@ -5,6 +5,8 @@ conductor correction and the proxy defect, piecewise-exact integration for
 the window terms (the implementation swaps summation and integration, the
 oracle does not), plain enumeration for the progression and ramified terms.
 """
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -409,6 +411,28 @@ def test_report_fields_consistent(shared_cache, tables_small):
                      -rep.progression, -rep.ramified, -rep.window_head,
                      -rep.window_mid, -rep.window_tail])
     assert rep.residual == rep.gamma_q_direct - rhs
+
+
+#: sha256 of the float.hex of every DecompositionReport field of
+#: decompose(q, 1e6, min(q^2, 1e6)) for these moduli: 45, 997, 2310, 4620
+#: and six of the seeded benchmark moduli. Generated at the commit before
+#: fsum_array summed without Python floats; every exact sum must keep
+#: every bit.
+DECOMPOSE_1E6_MODULI = (45, 997, 2310, 4620, 541, 637, 1460, 2185, 3713,
+                        4770)
+DECOMPOSE_1E6_DIGEST = (
+    "5b06918a0c48be649574c9ed331ffbe2485ccbdbdfc58ed0847b793c0499dd05")
+
+
+def test_decompose_1e6_bits_frozen(shared_cache, tables_big):
+    lines = []
+    for q in DECOMPOSE_1E6_MODULI:
+        rep = decompose(q, 1e6, float(min(q * q, 10**6)), tables_big,
+                        shared_cache)
+        lines += [f"{q} {f.name} {float(getattr(rep, f.name)).hex()}"
+                  for f in dataclasses.fields(rep)]
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_1E6_DIGEST
 
 
 def test_decompose_validation(shared_cache, tables_small):

@@ -79,13 +79,17 @@ def test_factorize_rejects_nonpositive(n):
         factorize(n)
 
 
-@pytest.mark.parametrize("bound", [2, 3, STREAM_SEGMENT - 1, STREAM_SEGMENT,
-                                   STREAM_SEGMENT + 1, STREAM_SEGMENT + 2,
-                                   2 * STREAM_SEGMENT + 7])
+@pytest.mark.parametrize("bound", [
+    2, 3, 4, 9, 25, STREAM_SEGMENT - 1, STREAM_SEGMENT, STREAM_SEGMENT + 1,
+    STREAM_SEGMENT + 2, 2 * STREAM_SEGMENT + 1, 2 * STREAM_SEGMENT + 2,
+    2 * STREAM_SEGMENT + 3, 2 * STREAM_SEGMENT + 4, 2 * STREAM_SEGMENT + 7,
+    4 * STREAM_SEGMENT + 3, 4 * STREAM_SEGMENT + 5])
 def test_segmented_primes_match_plain_sieve(bound):
-    # segments [2 + k*S, 2 + (k+1)*S) with S = STREAM_SEGMENT: the first one
-    # ends two, one or no places past the bound, or the bound opens a
-    # second (length 1) or a third segment
+    # 2 alone, then segments of S = STREAM_SEGMENT odd numbers,
+    # [3 + 2kS, 3 + 2(k+1)S): 2S + 1 and 2S + 2 fill the first one exactly,
+    # 2S + 3 and 2S + 4 open a second with one odd number and 2S + 7 with
+    # three, 4S + 3 and 4S + 5 open a third; S - 1 to S + 2 end inside the
+    # first; 4, 9 and 25 end on a prime square
     primes = build_tables(bound).primes
     assert primes.dtype == np.int64
     assert np.array_equal(primes, _small_primes(bound))
