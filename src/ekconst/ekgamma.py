@@ -30,6 +30,8 @@ character at once, and l_at_one is the scalar check on its L(1, chi).
 """
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import math
 import os
 import tempfile
@@ -202,9 +204,16 @@ class ConductorCache:
     The file is CSV with header ``q,total,imag_residual,tag``, rows sorted by
     (q, tag), floats written with repr (shortest round-trip form, so a reload
     is bit-identical), LF line endings. Reads are lock-free once loaded;
-    writes are serialized by an in-process lock and an atomic replace. A
-    save with no new rows since the load or the last save leaves an
-    existing file alone.
+    writes are serialized by an in-process lock, by fcntl.flock on the
+    sidecar file ``<name>.lock`` across processes, and by an atomic replace.
+    A save with no new rows since the load or the last save leaves an
+    existing file alone and takes no lock.
+
+    If the file changed since this cache last loaded or saved it (another
+    process saved), a save re-reads it under the lock and writes the union
+    of both sets of rows, so concurrent writers lose none. A key whose rows
+    differ in any bit raises CacheCorruption: a precision tag names one bit
+    pattern.
     """
 
     def __init__(self, path: str | os.PathLike | None = None, *,
@@ -213,6 +222,7 @@ class ConductorCache:
         self._data: dict[tuple[int, str], ConductorTotal] = {}
         self._lock = threading.Lock()
         self._dirty = False   # rows put since the load or the last save
+        self._stamp = None    # _file_stamp of the file last loaded or saved
         if load and self.path is not None and self.path.exists():
             self._load()
 
@@ -225,12 +235,20 @@ class ConductorCache:
         return Path(cache_dir) / CACHE_FILE_NAME
 
     def _load(self) -> None:
-        for rec in self._parse_file():
+        records, self._stamp = self._read_file()
+        for rec in records:
             self._data[(rec.q, rec.tag)] = rec
 
-    def _parse_file(self) -> list[ConductorTotal]:
+    def _read_file(self) -> tuple[list[ConductorTotal], tuple]:
+        """The file's records and the _file_stamp of the file they came
+        from."""
+        with open(self.path, encoding="ascii") as fh:
+            text = fh.read()
+            stamp = _file_stamp(os.fstat(fh.fileno()))
+        return self._parse(text), stamp
+
+    def _parse(self, text: str) -> list[ConductorTotal]:
         out: list[ConductorTotal] = []
-        text = self.path.read_text(encoding="ascii")
         lines = text.split("\n")
         if not lines or lines[0] != _CACHE_HEADER:
             raise CacheCorruption(
@@ -308,43 +326,104 @@ class ConductorCache:
         with self._lock:
             if not self._dirty and self.path.exists():
                 return
-            rows = [_CACHE_HEADER]
-            for (q, tag) in sorted(self._data):
-                rec = self._data[(q, tag)]
-                rows.append(f"{q},{rec.total!r},{rec.imag_residual!r},{tag}")
-            payload = "\n".join(rows) + "\n"
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            # a unique temp file per save, so concurrent saves never write
-            # into each other's; mkstemp makes it 0600, a plain write 0644.
-            # No fsync: the rows are recomputable, a torn file fails
-            # validation, and an fsync's wait depends on every other
-            # writer to the disk.
-            fd, tmp = tempfile.mkstemp(prefix=self.path.name + ".",
-                                       suffix=".tmp", dir=self.path.parent)
-            try:
-                with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
-                    os.fchmod(fh.fileno(), 0o644)
-                    fh.write(payload)
-                os.replace(tmp, self.path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+            with self._file_lock():
+                self._merge_file()
+                rows = [_CACHE_HEADER]
+                for (q, tag) in sorted(self._data):
+                    rec = self._data[(q, tag)]
+                    rows.append(
+                        f"{q},{rec.total!r},{rec.imag_residual!r},{tag}")
+                payload = "\n".join(rows) + "\n"
+                # a unique temp file per save; mkstemp makes it 0600, a
+                # plain write 0644. No fsync: the rows are recomputable, a
+                # torn file fails validation, and an fsync's wait depends on
+                # every other writer to the disk.
+                fd, tmp = tempfile.mkstemp(prefix=self.path.name + ".",
+                                           suffix=".tmp",
+                                           dir=self.path.parent)
+                try:
+                    with os.fdopen(fd, "w", encoding="ascii",
+                                   newline="") as fh:
+                        os.fchmod(fh.fileno(), 0o644)
+                        fh.write(payload)
+                    os.replace(tmp, self.path)
+                except BaseException:
+                    os.unlink(tmp)
+                    raise
+                self._stamp = _file_stamp(os.stat(self.path))
             self._dirty = False
+
+    def _merge_file(self) -> None:
+        """Add the rows of a file that changed since this cache last loaded
+        or saved it; called under _file_lock."""
+        try:
+            if _file_stamp(os.stat(self.path)) == self._stamp:
+                return
+        except FileNotFoundError:
+            return
+        records, self._stamp = self._read_file()
+        for rec in records:
+            mine = self._data.setdefault((rec.q, rec.tag), rec)
+            if _bits(mine) != _bits(rec):
+                raise CacheCorruption(
+                    f"{self.path}: conductor {rec.q} tag {rec.tag} has total "
+                    f"{rec.total!r}, imag_residual {rec.imag_residual!r} in "
+                    f"the file and {mine.total!r}, {mine.imag_residual!r} "
+                    "here", q=rec.q)
+
+    @contextlib.contextmanager
+    def _file_lock(self):
+        """Hold fcntl.flock on the sidecar ``<name>.lock`` of the file.
+
+        The holder removes the sidecar before it lets go, so none is left
+        behind. A process that waited on a removed sidecar finds that the
+        path now names another file, or none, and tries again.
+        """
+        lock_path = self.path.with_name(self.path.name + ".lock")
+        while True:
+            fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                try:
+                    held = os.stat(lock_path).st_ino == os.fstat(fd).st_ino
+                except FileNotFoundError:
+                    held = False
+                if held:
+                    try:
+                        yield
+                    finally:
+                        os.unlink(lock_path)
+                    return
+            finally:
+                os.close(fd)    # releases the lock
 
     def verify(self) -> list[ConductorTotal]:
         """Re-parse the backing file, raising CacheCorruption on any defect."""
         if self.path is None or not self.path.exists():
             return []
-        return self._parse_file()
+        return self._read_file()[0]
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
             if self.path is not None and self.path.exists():
-                self.path.unlink()
+                with self._file_lock():
+                    self.path.unlink(missing_ok=True)
+            self._stamp = None
 
     def __len__(self) -> int:
         return len(self._data)
+
+
+def _file_stamp(st: os.stat_result) -> tuple[int, int, int]:
+    """(inode, size, mtime in ns): a saved file gets a new inode, so a save
+    by another process changes it."""
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _bits(rec: ConductorTotal) -> tuple[str, str]:
+    return (rec.total.hex(), rec.imag_residual.hex())
 
 
 def gamma_q(q: int, cache: ConductorCache | None = None,
@@ -354,13 +433,8 @@ def gamma_q(q: int, cache: ConductorCache | None = None,
         raise ValueError(f"q must be >= 1, got {q}")
     if cache is None:
         cache = ConductorCache()
-    return _gamma_from_conductors(q, divisors(q)[1:], cache, n_terms)
-
-
-def _gamma_from_conductors(q: int, conductors: list[int],
-                           cache: ConductorCache, n_terms: int) -> GammaQ:
-    """gamma_q from the conductors d > 1 of q, which are its divisors."""
-    terms = [EULER_GAMMA] + [rec.total for rec in cache.fill(conductors,
+    # the conductors d > 1 of q are its divisors
+    terms = [EULER_GAMMA] + [rec.total for rec in cache.fill(divisors(q)[1:],
                                                               n_terms)]
     # one unit per phi(d) over the conductors d, and those phi(d) add up
     # to q - 1

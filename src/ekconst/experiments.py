@@ -25,11 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ekgamma import (ConductorCache, _gamma_from_conductors,
-                      conductor_totals)
+from .ekgamma import ConductorCache, conductor_totals
 from .sieve import (ArithmeticTables, _higher_powers, coprime_mask,
-                    divisors, factorize, psi, residues)
-from .stieltjes import DEFAULT_EM_TERMS
+                    factorize, psi, residues)
+from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
 
 SCAN_HEADER = "q,gamma_q,log_q,ratio,abs_dev"
 PROBE_HEADER = "x,epsilon,m_max,total"
@@ -100,37 +99,47 @@ def scan_range(block: int, cache: ConductorCache | None = None,
                workers: int | None = 1) -> list[ScanRecord]:
     """One record per q in (block, 2*block], ascending.
 
-    The conductor totals the cache lacks are computed first, by
+    The conductors of the block are exactly 2..2*block: d > block is a q of
+    the block itself, and d <= block has a multiple in it. One pass over
+    the cache reads their totals. Those it lacks are computed by
     conductor_totals, which evaluates the special functions for many
-    conductors in one batch. With workers > 1 the missing conductors go to
-    a process pool in CHUNKS_PER_WORKER interleaved blocks per process, one
-    batch each; they are independent pure functions. The pool has
-    min(workers, cores) processes. Then every gamma_q is assembled from the
-    cache, so records are reproducible bit for bit from a warm cache.
+    conductors in one batch; with workers > 1 they go to a process pool in
+    CHUNKS_PER_WORKER interleaved blocks per process, one batch each (they
+    are independent pure functions), and the pool has min(workers, cores)
+    processes. A warm cache computes nothing and factors no q.
+
+    Each total then goes to the q of the block that are multiples of its
+    conductor, and gamma_q is one math.fsum of gamma and those terms: the
+    terms gamma_q(q) takes from the divisors of q, and fsum is correctly
+    rounded, so the records are the same bit for bit.
     """
     if block < 2:
         raise ValueError(f"block must be >= 2, got {block}")
     if cache is None:
         cache = ConductorCache()
-    qs = range(block + 1, 2 * block + 1)
-    conductors_of = {q: divisors(q)[1:] for q in qs}
-    conductors = sorted(set().union(*conductors_of.values()))
-    missing = [d for d in conductors if cache.get(d, n_terms) is None]
-    procs = _processes(workers)
-    if procs > 1 and len(missing) > 1:
-        n_chunks = min(len(missing), procs * CHUNKS_PER_WORKER)
-        chunks = [missing[k::n_chunks] for k in range(n_chunks)]
-        with ProcessPoolExecutor(max_workers=min(procs, n_chunks)) as pool:
-            totals = partial(conductor_totals, n_terms=n_terms)
-            for part in pool.map(totals, chunks):
-                for rec in part:
-                    cache.put(rec)
-    else:
-        cache.fill(missing, n_terms)
+    top = 2 * block
+    conductors = range(2, top + 1)
+    totals = [cache.get(d, n_terms) for d in conductors]
+    missing = [d for d, rec in zip(conductors, totals) if rec is None]
+    if missing:
+        procs = _processes(workers)
+        if procs > 1 and len(missing) > 1:
+            n_chunks = min(len(missing), procs * CHUNKS_PER_WORKER)
+            chunks = [missing[k::n_chunks] for k in range(n_chunks)]
+            with ProcessPoolExecutor(max_workers=min(procs, n_chunks)) as pool:
+                batch = partial(conductor_totals, n_terms=n_terms)
+                for part in pool.map(batch, chunks):
+                    for rec in part:
+                        cache.put(rec)
+        totals = cache.fill(conductors, n_terms)
+    terms = [[EULER_GAMMA] for _ in range(block)]    # terms[q - block - 1]
+    for d, rec in zip(conductors, totals):
+        # the multiples of d in (block, top], from the first above block
+        for i in range(d - 1 - block % d, block, d):
+            terms[i].append(rec.total)
     out = []
-    for q in qs:
-        val = _gamma_from_conductors(q, conductors_of[q], cache,
-                                     n_terms).value
+    for q, parts in zip(range(block + 1, top + 1), terms):
+        val = math.fsum(parts)
         lq = math.log(q)
         ratio = val / lq if q >= 3 else math.nan
         out.append(ScanRecord(q=q, gamma_q=val, log_q=lq, ratio=ratio,
@@ -187,6 +196,13 @@ def ratio_histogram(records: list[ScanRecord], bins: int) -> list[RatioBin]:
     out.append(RatioBin(lo=hi, hi=math.inf,
                         count=int(np.count_nonzero(vals > hi))))
     return out
+
+
+def _probe_inputs(tables: ArithmeticTables, x: float, prime_powers: bool
+                  ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(psi(x), residue base, weights): what the probe and its self-check
+    read of the tables, built once for both by cmd_probe."""
+    return (psi(tables, x), *_weights_upto(tables, x, prime_powers))
 
 
 def _weights_upto(tables: ArithmeticTables, x: float, prime_powers: bool):
@@ -323,9 +339,16 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 2.0 <= x <= tables.bound:
         raise ValueError(f"need 2 <= x <= {tables.bound}, got {x}")
+    return _probe_levels(_probe_inputs(tables, x, prime_powers), x, epsilon,
+                         workers)
+
+
+def _probe_levels(inputs, x: float, epsilon: float,
+                  workers: int | None) -> EhProbeRecord:
+    """eh_probe on the (psi(x), base, weights) of _probe_inputs, for an x
+    and epsilon already validated."""
+    psi_x, arr, w = inputs
     m_max = int(math.floor(x ** (1.0 - epsilon)))
-    psi_x = psi(tables, x)
-    arr, w = _weights_upto(tables, x, prime_powers)
     chains = _chains(range(1, m_max + 1), partial(_probe_top, m_max))
     procs = _processes(workers)
     if procs > 1 and len(chains) > 1:
@@ -369,8 +392,16 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
         raise ValueError(f"need 2 <= x <= {tables.bound}, got {x}")
     if any(m > x for m in levels):
         raise ValueError(f"every m must be <= x={x}, got {max(levels)}")
-    psi_x = psi(tables, x)
-    arr, w = _weights_upto(tables, x, prime_powers)
+    return _residue_checks(_probe_inputs(tables, x, prime_powers), levels, x,
+                           tables, prime_powers)
+
+
+def _residue_checks(inputs, levels: list[int], x: float,
+                    tables: ArithmeticTables, prime_powers: bool
+                    ) -> list[tuple[float, float]]:
+    """residue_sum_checks on the (psi(x), base, weights) of _probe_inputs,
+    for levels already validated."""
+    psi_x, arr, w = inputs
     quot, res = _residue_buffers(arr)
     wanted = set(levels)
     lhs = {m: math.fsum((sums - psi_x / sums.size).tolist())

@@ -152,6 +152,19 @@ def _diff_step(total: np.ndarray, term: np.ndarray, comp: np.ndarray,
     return out, total
 
 
+#: Bytes in a cache line of the x86-64 and arm64 hosts numpy runs on.
+_CACHE_LINE = 64
+
+
+def _line_aligned(x: np.ndarray) -> np.ndarray:
+    """An uninitialised float64 array of x's shape, 0-d included, whose data
+    starts on a _CACHE_LINE boundary: a view into a block 8 doubles longer,
+    from its first aligned element."""
+    raw = np.empty(x.size + _CACHE_LINE // 8, dtype=np.float64)
+    skip = -raw.ctypes.data % _CACHE_LINE // 8
+    return raw[skip:skip + x.size].reshape(x.shape)
+
+
 def _em_laurent(x: np.ndarray, n_terms: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Coefficients (c0, c1) of zeta(1+eps, x) = 1/eps + c0 + c1*eps + ...
 
@@ -162,10 +175,19 @@ def _em_laurent(x: np.ndarray, n_terms: int) -> tuple[np.ndarray, np.ndarray, fl
     of every addition and is added once at the end. Everything runs in
     buffers allocated once per call: each new sum goes into a spare buffer,
     which then swaps roles with the old sum.
+
+    The 12 buffers start on cache lines (_line_aligned). np.empty_like puts
+    a 16384-point buffer 16 or 32 bytes past a line, so numpy's AVX-512
+    loops split stores across lines: a 3-operand add over 16384 doubles
+    took 10.8 us there against 4.9 us aligned, and a 16384-point call 4.8
+    to 5.5 ms against 4.2 to 4.4 ms (medians of 200 calls, 2-core x86-64,
+    numpy 2.4). The arithmetic is the same, so are the bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    c0, c1, comp0, comp1 = (np.zeros_like(x) for _ in range(4))
-    t0, t1, xk, inv, w, v, err, tmp = (np.empty_like(x) for _ in range(8))
+    c0, c1, comp0, comp1, t0, t1, xk, inv, w, v, err, tmp = (
+        _line_aligned(x) for _ in range(12))
+    for acc in (c0, c1, comp0, comp1):
+        acc.fill(0.0)
     for k in range(n_terms):
         np.add(x, k, out=xk)
         np.divide(1.0, xk, out=inv)

@@ -1,6 +1,9 @@
 """Euler-Kronecker constants and the on-disk conductor cache."""
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from ekconst import (DEFAULT_EM_TERMS, EULER_GAMMA, CacheCorruption,
                      precision_tag, primitive_characters, scan_range,
                      stieltjes_pair_table, totient)
 from ekconst import ekgamma, stieltjes
+from ekconst.cli import entry
 from ekconst.ekgamma import CACHE_ENV_VAR, MIN_ABS_L, _CACHE_HEADER
 from lvalue_oracle import l_values
 
@@ -345,7 +349,90 @@ def test_cache_save_without_new_rows_leaves_file(tmp_path):
     assert path.read_text(encoding="ascii") == stranger
     cache.put(_sample_records()[1])
     cache.save()
-    assert [r.q for r in ConductorCache(path).records()] == [3, 4]
+    # the file changed since cache saved it, so the save merges: the
+    # stranger's row 9 survives next to the new row 4
+    assert [r.q for r in ConductorCache(path).records()] == [3, 4, 9]
+
+
+def test_cache_save_merges_rows_saved_since_load(tmp_path):
+    path = tmp_path / "conductors.csv"
+    first, second = ConductorCache(path), ConductorCache(path)
+    first.put(_sample_records()[0])
+    first.save()
+    second.put(_sample_records()[1])
+    second.save()
+    assert ConductorCache(path).records() == _sample_records()
+    assert second.records() == _sample_records()
+    assert [p.name for p in tmp_path.iterdir()] == ["conductors.csv"]
+
+
+def test_cache_merge_rejects_a_key_with_other_bits(tmp_path):
+    path = tmp_path / "conductors.csv"
+    rec = _sample_records()[0]
+    first, second = ConductorCache(path), ConductorCache(path)
+    first.put(rec)
+    first.save()
+    second.put(ConductorTotal(q=rec.q, total=rec.total,
+                              imag_residual=-rec.imag_residual, tag=rec.tag))
+    with pytest.raises(CacheCorruption) as info:
+        second.save()
+    assert info.value.q == rec.q
+    assert ConductorCache(path).records() == [rec]
+    # the same bits under the same key merge quietly
+    third = ConductorCache(path=path, load=False)
+    third.put(rec)
+    third.put(_sample_records()[1])
+    third.save()
+    assert ConductorCache(path).records() == _sample_records()
+
+
+def test_cache_save_without_new_rows_takes_no_lock(tmp_path, monkeypatch):
+    path = tmp_path / "conductors.csv"
+    cache = ConductorCache(path)
+    cache.put(_sample_records()[0])
+    cache.save()
+    stamp = path.stat().st_mtime_ns
+
+    def refuse(fd, op):
+        raise AssertionError("flock taken by a save with no new rows")
+    monkeypatch.setattr(ekgamma.fcntl, "flock", refuse)
+    warm = ConductorCache(path)
+    warm.fill([3], n_terms=50)
+    warm.save()
+    cache.save()
+    assert path.stat().st_mtime_ns == stamp
+
+
+_WRITER = """
+import sys
+from ekconst import ConductorCache
+cache = ConductorCache(sys.argv[1])
+for q in map(int, sys.argv[2:]):
+    cache.fill([q])
+    cache.save()
+"""
+
+
+def test_cache_concurrent_writers_keep_every_row(tmp_path, capsys):
+    # four processes, disjoint conductors, one cache file, a save per row:
+    # each save merges what the others wrote since its last one
+    path = tmp_path / "conductors.csv"
+    src = str(Path(ekgamma.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    mine = {k: [q for q in range(3, 123) if q % 4 == k] for k in range(4)}
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(path)]
+                              + [str(q) for q in qs], env=env)
+             for qs in mine.values()]
+    for proc in procs:
+        assert proc.wait(timeout=120) == 0
+    rows = ConductorCache(path).records()
+    assert [r.q for r in rows] == list(range(3, 123))
+    assert [p.name for p in tmp_path.iterdir()] == ["conductors.csv"]
+    capsys.readouterr()
+    assert entry(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+    assert f"ok entries={len(rows)}" in capsys.readouterr().out
 
 
 def test_cache_file_mode_is_not_private(tmp_path):

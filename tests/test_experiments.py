@@ -15,6 +15,7 @@ from ekconst import (ConductorCache, EhProbeRecord, RatioBin, ScanRecord,
                      gamma_q, parse_scan_csv, psi, ratio_histogram, render,
                      residue_sum_check, residue_sum_checks, scan_range,
                      theorem_statistic)
+from ekconst import ekgamma, sieve
 from ekconst.experiments import (HISTOGRAM_HEADER, PER_M_HEADER,
                                  PROBE_HEADER, SCAN_HEADER)
 
@@ -36,14 +37,46 @@ def _toy_records():
 
 
 def test_scan_range_matches_gamma_q(shared_cache):
-    records = scan_range(4, shared_cache)
-    assert [r.q for r in records] == [5, 6, 7, 8]
-    for r in records:
-        want = gamma_q(r.q, shared_cache).value
-        assert r.gamma_q == want
-        assert r.log_q == math.log(r.q)
-        assert r.ratio == want / math.log(r.q)
-        assert r.abs_dev == abs(want - math.log(r.q))
+    for block in (4, 512):
+        records = scan_range(block, shared_cache)
+        assert [r.q for r in records] == list(range(block + 1,
+                                                    2 * block + 1))
+        for r in records:
+            want = gamma_q(r.q, shared_cache).value
+            assert r.gamma_q.hex() == want.hex(), r.q
+            assert r.log_q == math.log(r.q)
+            assert r.ratio == want / math.log(r.q)
+            assert r.abs_dev == abs(want - math.log(r.q))
+
+
+#: sha256 of the float.hex of every field of every record of
+#: scan_range(1024), made before the block assembly walked the multiples of
+#: each conductor (it took the divisors of each q).
+SCAN_1024_DIGEST = (
+    "b93690ee2bd0bcc300d7726335d02914ab5709165e9ac0ade060eb464af56214")
+
+
+def test_scan_1024_bits_frozen(shared_cache):
+    lines = [" ".join([str(r.q)] + [getattr(r, f.name).hex()
+                                    for f in dataclasses.fields(r)
+                                    if f.name != "q"])
+             for r in scan_range(1024, shared_cache)]
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_1024_DIGEST
+
+
+def test_warm_scan_range_only_reads_the_cache(monkeypatch, shared_cache):
+    want = scan_range(96, shared_cache)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm scan computed something")
+    for module, name in [(ekgamma, "conductor_totals"),
+                         (experiments, "conductor_totals"),
+                         (ekgamma, "build_group"), (sieve, "divisors"),
+                         (ekgamma, "divisors")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert scan_range(96, shared_cache, workers=2) == want
+    assert scan_range(96, shared_cache, workers=1) == want
 
 
 def test_scan_range_parallel_equals_serial():

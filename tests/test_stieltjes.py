@@ -8,6 +8,7 @@ both coefficients against the frozen mpmath table em_reference.csv.
 """
 import csv
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from ekconst import (DEFAULT_EM_TERMS, EULER_GAMMA, PrecisionError,
                      digamma_rational, stieltjes01, stieltjes_pair_table)
+from ekconst import stieltjes
 from ekconst.ekgamma import EM_BLOCK_POINTS
 from ekconst.stieltjes import _diff_step, _em_laurent, _sum_step
 from em_oracle import em_laurent_neumaier, neumaier_step
@@ -201,6 +203,58 @@ def test_kernel_matches_neumaier_at_other_depths(n_terms):
 def test_kernel_matches_neumaier_on_scalars():
     for a, q in ((1, 1), (1, 3), (7, 2), (3, 1000), (2999, 1000)):
         _assert_same_as_oracle(np.float64(a / q), DEFAULT_EM_TERMS)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5),
+                                   (EM_BLOCK_POINTS,)])
+def test_line_aligned_keeps_the_shape(shape):
+    buf = stieltjes._line_aligned(np.empty(shape))
+    assert buf.shape == shape and buf.dtype == np.float64
+    assert buf.flags.c_contiguous and buf.flags.writeable
+    assert buf.ctypes.data % 64 == 0
+
+
+def test_kernel_buffers_are_line_aligned(monkeypatch):
+    made = []
+
+    def spy(x):
+        made.append(real(x))
+        return made[-1]
+    real = stieltjes._line_aligned
+    monkeypatch.setattr(stieltjes, "_line_aligned", spy)
+    x = _unit_arguments(60)[1:]
+    c0, c1, _ = _em_laurent(x, DEFAULT_EM_TERMS)
+    assert len(made) == 12
+    assert all(b.shape == x.shape and b.ctypes.data % 64 == 0 for b in made)
+    assert c0.ctypes.data % 64 == 0 and c1.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_kernel_matches_neumaier_at_every_offset(offset):
+    # the input starts 8 * offset bytes past a cache line; 4,999 points
+    # leave a tail after every SIMD width
+    x = _unit_arguments(150)[:4999]
+    block = stieltjes._line_aligned(np.empty(x.size + 8))
+    block[offset:offset + x.size] = x
+    moved = block[offset:offset + x.size]
+    assert moved.ctypes.data % 64 == 8 * offset
+    _assert_same_as_oracle(moved, DEFAULT_EM_TERMS)
+
+
+@pytest.mark.parametrize("x", [np.float64(0.25), np.asarray(2.5)])
+def test_kernel_keeps_a_0d_input_0d(x):
+    c0, c1, _ = _em_laurent(x, DEFAULT_EM_TERMS)
+    assert c0.shape == () and c1.shape == ()
+    _assert_same_as_oracle(x, DEFAULT_EM_TERMS)
+
+
+def test_stieltjes01_warns_nothing():
+    # a 0-d result converts to float without numpy's DeprecationWarning for
+    # arrays with ndim > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = stieltjes01(3, 7)
+    assert math.isclose(pair.gamma0, -digamma_rational(3, 7), rel_tol=1e-13)
 
 
 def _scalar_neumaier(terms):
