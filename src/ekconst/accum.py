@@ -9,10 +9,11 @@ float64 holds exactly (integers below 2^42 once the low part is scaled
 back by 2^26). The buckets of every chunk add up in int64 as one
 fixed-point integer in units of 2^-1126 (the smallest subnormal is
 2^-1074 = 0.5 * 2^-1073, its low part 2^-1126), and Python's int true
-division rounds that integer once, correctly and half to even. math.fsum also returns the correctly rounded exact sum, so the two give
-the same float bit for bit, whatever the order or the chunking. Input that
-is not finite, or large enough that math.fsum could overflow part way, goes
-to math.fsum itself, which keeps its result and its exceptions.
+division rounds that integer once, correctly and half to even. math.fsum
+also returns the correctly rounded exact sum, so the two give the same
+float bit for bit, whatever the order or the chunking. Input that is not
+finite, or large enough that math.fsum could overflow part way, goes to
+math.fsum itself, which keeps its result and its exceptions.
 
 math.fsum stays the exact sum of short lists and scalar streams, where the
 set-up of a chunk costs more than the Python floats; fsum_complex feeds it

@@ -100,17 +100,32 @@ class DecompositionReport:
     residual: float
 
 
-def _check_window(q: int, x: float, x_split: float,
-                  tables: ArithmeticTables) -> None:
+def _check_args(q: int, x: float, tables: ArithmeticTables) -> None:
+    """The one check of a modulus q >= 1 and a cutoff 1 < x <= the table
+    bound."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    if not 1 < x <= tables.bound:
+        raise ValueError(
+            f"x must satisfy 1 < x <= {tables.bound} (table bound), got {x}")
+
+
+def _check_window(q: int, x: float, x_split: float,
+                  tables: ArithmeticTables) -> None:
+    _check_args(q, x, tables)
     if not q <= x_split <= x:
         raise ValueError(
             f"need q <= x_split <= x, got q={q}, x_split={x_split}, x={x}")
-    if x <= 1:
-        raise ValueError(f"x must exceed 1, got {x}")
-    if x > tables.bound:
-        raise ValueError(f"x={x} exceeds table bound {tables.bound}")
+
+
+def _remainder_sum(q: int, x: float, pp: np.ndarray,
+                   vals: np.ndarray) -> float:
+    """(phi(q) * sum of vals[n = 1 mod q] - sum of vals) / (x - 1), both
+    sums exactly rounded, for values vals at the prime powers pp: the
+    partial sum of R(u) = phi(q) psi(u; q, 1) - psi(u) against a weight."""
+    full = fsum_array(vals)
+    prog = fsum_array(vals[residues(pp, q) == 1 % q])
+    return (totient(q) * prog - full) / (x - 1.0)
 
 
 def _prime_powers_upto(tables: ArithmeticTables, limit: float):
@@ -157,10 +172,7 @@ def conductor_correction(q: int, x: float, tables: ArithmeticTables) -> float:
     """Cost of reading every primitive character mod q instead of mod its
     conductor; nonpositive by construction, and +0.0 when no layer weight
     is nonzero. The weight at p^v is layer_weight(p, v, q)."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if x <= 1 or x > tables.bound:
-        raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
+    _check_args(q, x, tables)
     terms = []
     for p, _ in factorize(q):
         n, v = p, 1
@@ -174,10 +186,7 @@ def conductor_correction(q: int, x: float, tables: ArithmeticTables) -> float:
 
 def ramified_term(q: int, x: float, tables: ArithmeticTables) -> float:
     """Smoothed average over prime powers sharing a factor with q; >= 0."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if x <= 1 or x > tables.bound:
-        raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
+    _check_args(q, x, tables)
     terms = []
     for p, _ in factorize(q):
         n = p
@@ -190,15 +199,9 @@ def ramified_term(q: int, x: float, tables: ArithmeticTables) -> float:
 def progression_term(q: int, x: float, tables: ArithmeticTables) -> float:
     """(1/(x-1)) * [phi(q) sum_{n <= x, n = 1 mod q} Lambda(n) log(x/n)
     - sum_{n <= x} Lambda(n) log(x/n)], evaluated exactly."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if x <= 1 or x > tables.bound:
-        raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
+    _check_args(q, x, tables)
     pp, lg = _prime_powers_upto(tables, x)
-    vals = lg * np.log(x / pp)
-    full = fsum_array(vals)
-    prog = fsum_array(vals[residues(pp, q) == 1 % q])
-    return (totient(q) * prog - full) / (x - 1.0)
+    return _remainder_sum(q, x, pp, lg * np.log(x / pp))
 
 
 def window_term(q: int, x: float, x_split: float, tables: ArithmeticTables,
@@ -228,10 +231,7 @@ def window_term(q: int, x: float, x_split: float, tables: ArithmeticTables,
         return 0.0
     a = np.maximum(pp.astype(np.float64), lo)
     jw = x * (1.0 / a - 1.0 / hi) - (math.log(hi) - np.log(a))
-    vals = lg * jw
-    full = fsum_array(vals)
-    prog = fsum_array(vals[residues(pp, q) == 1 % q])
-    return (totient(q) * prog - full) / (x - 1.0)
+    return _remainder_sum(q, x, pp, lg * jw)
 
 
 def _class_table(d: int) -> np.ndarray:
@@ -300,10 +300,7 @@ def proxy_defect(q: int, x: float, tables: ArithmeticTables,
     in the last bit from the exact sum of primitive_phi_sum over the
     conductors.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if x <= 1 or x > tables.bound:
-        raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
+    _check_args(q, x, tables)
     if cache is None:
         cache = ConductorCache()
     parts = [rec.total for rec in cache.fill(divisors(q)[1:], n_terms)]
@@ -321,11 +318,7 @@ def gamma_q_from_prime_sums(q: int, x: float,
     shrinks as x grows (slowly and unconditionally); at x = 1e7 it is
     comfortably inside 0.1 for small q. Not an exact method.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if not 1 < x <= tables.bound:
-        raise ValueError(
-            f"x must satisfy 1 < x <= {tables.bound} (table bound), got {x}")
+    _check_args(q, x, tables)
     return EULER_GAMMA - _proxy_average(q, x, tables)
 
 

@@ -14,10 +14,16 @@ gamma_0(a/q) and gamma_1(a/q) are needed only at the phi(q) units, and
 conductor_totals evaluates them for many conductors at once: it concatenates
 their unit arguments and runs the Euler-Maclaurin evaluation over blocks of
 about EM_BLOCK_POINTS of them, so numpy's per-call overhead is paid per block
-rather than per conductor. conductor_totals is the library's only route to
-these totals (ConductorCache.fill calls it for the conductors a cache
-lacks), and characters.conductor_grid picks the primitive characters. A
-per-character scalar route in the test suite cross-checks the DFT.
+rather than per conductor. characters.conductor_grid picks the primitive
+characters. A per-character scalar route in the test suite cross-checks the
+DFT.
+
+ConductorCache.fill(qs, n_terms, workers) is the library's one route from
+conductors to totals: gamma_q, proxy_defect and scan_range all read their
+totals through it. It computes the conductors the cache lacks with
+conductor_totals and stores them; with workers > 1 they go through
+_map_chunks, the library's one process pool, in interleaved chunks. The
+probe maps its chains of levels through the same pool.
 
 For non-principal chi mod q the Hurwitz expansion gives, with the pole
 cancelling against sum_a chi(a) = 0,
@@ -30,6 +36,10 @@ character at once, and l_at_one is the scalar check on its L(1, chi).
 """
 from __future__ import annotations
 
+# not `from concurrent.futures import ProcessPoolExecutor`: the package
+# imports that class, and multiprocessing, on first use, so a run that
+# starts no pool loads neither
+import concurrent.futures
 import contextlib
 import fcntl
 import math
@@ -37,6 +47,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +56,8 @@ from .accum import fsum_complex
 from .characters import (CharacterGroup, DirichletCharacter, build_group,
                          conductor_grid)
 from .sieve import divisors
-from .stieltjes import (DEFAULT_EM_TERMS, EULER_GAMMA, _em_laurent,
-                        digamma_rational)
+from .stieltjes import (DEFAULT_EM_TERMS, EULER_GAMMA, _check_em_terms,
+                        _em_laurent, digamma_rational)
 
 #: Below this |L(1, chi)| the log-derivative is numerically untrustworthy.
 MIN_ABS_L = 1e-6
@@ -61,8 +72,7 @@ _CACHE_HEADER = "q,total,imag_residual,tag"
 
 
 def precision_tag(n_terms: int) -> str:
-    if n_terms < 10:
-        raise ValueError(f"n_terms must be >= 10, got {n_terms}")
+    _check_em_terms(n_terms)
     return f"em{n_terms}"
 
 
@@ -93,6 +103,49 @@ class GammaQ:
 #: 8192 nor 32768 beat 16384 in every round (medians 1.68 s, 1.67 s and
 #: 1.63 s), so the size stays.
 EM_BLOCK_POINTS = 16384
+
+
+#: Interleaved chunks per pool process, of conductors or of probe chains.
+#: Interleaving gives every chunk about the same cost, so more chunks only
+#: even out cores that run at different speeds.
+CHUNKS_PER_WORKER = 4
+
+#: (fn, shared) of a pool process, set once by _init_chunk_worker.
+_CHUNK_TASK: tuple = ()
+
+
+def _init_chunk_worker(fn, shared: tuple) -> None:
+    global _CHUNK_TASK
+    _CHUNK_TASK = (fn, shared)
+
+
+def _run_chunk(chunk) -> list:
+    fn, shared = _CHUNK_TASK
+    return fn(*shared, chunk)
+
+
+def _map_chunks(fn, items: list, workers: int | None, *shared) -> list:
+    """The results of fn(*shared, chunk) over chunks of items, concatenated.
+
+    The library's one process pool. With workers > 1 and more than one
+    item it has min(workers, cores) processes, at most the core count
+    because a fork pool starts all of its processes at once, and runs
+    CHUNKS_PER_WORKER interleaved chunks items[k::n] per process; fn and
+    shared go to each process once, through the pool initializer.
+    Otherwise fn runs once, in this process, on all of items. fn must treat
+    each item on its own, so the results are the same either way up to
+    their order.
+    """
+    procs = min(workers or 1, os.cpu_count() or 1)
+    if procs <= 1 or len(items) <= 1:
+        return fn(*shared, items)
+    n = min(len(items), procs * CHUNKS_PER_WORKER)
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(procs, n), initializer=_init_chunk_worker,
+            initargs=(fn, shared)) as pool:
+        return [r for part in pool.map(_run_chunk,
+                                       [items[k::n] for k in range(n)])
+                for r in part]
 
 
 def conductor_totals(qs, n_terms: int = DEFAULT_EM_TERMS
@@ -306,16 +359,20 @@ class ConductorCache:
                 self._data[key] = rec
                 self._dirty = True
 
-    def fill(self, qs, n_terms: int = DEFAULT_EM_TERMS
-             ) -> list[ConductorTotal]:
+    def fill(self, qs, n_terms: int = DEFAULT_EM_TERMS,
+             workers: int | None = 1) -> list[ConductorTotal]:
         """The totals of the conductors qs, in their order. Those the cache
-        lacks are computed as one conductor_totals batch and stored."""
+        lacks are computed by conductor_totals, in ascending order, and
+        stored: as one batch, or with workers > 1 as interleaved batches in
+        the pool of _map_chunks. conductor_totals is elementwise, so the
+        totals are the same bit for bit either way."""
         qs = list(qs)
         found = [self.get(q, n_terms) for q in qs]
         missing = sorted({q for q, rec in zip(qs, found) if rec is None})
         if not missing:
             return found
-        fresh = {rec.q: rec for rec in conductor_totals(missing, n_terms)}
+        fresh = {rec.q: rec for rec in _map_chunks(
+            partial(conductor_totals, n_terms=n_terms), missing, workers)}
         for rec in fresh.values():
             self.put(rec)
         return [fresh[q] if rec is None else rec for q, rec in zip(qs, found)]

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .ekgamma import ConductorCache, conductor_totals
+from .ekgamma import ConductorCache, _map_chunks
 from .sieve import (ArithmeticTables, _higher_powers, coprime_mask,
                     factorize, psi, residues)
 from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
@@ -38,11 +36,6 @@ FORMATS = ("csv", "json", "plotdata")
 
 #: Histogram support for gamma_q / log q; mass concentrates at 1.
 RATIO_RANGE = (0.0, 2.0)
-
-#: Interleaved chunks per pool worker, of probe levels or of scan
-#: conductors. Interleaving gives every chunk about the same cost, so more
-#: chunks only even out cores that run at different speeds.
-CHUNKS_PER_WORKER = 4
 
 #: A residue-sum check of level m folds its class sums from the pass at
 #: m * 2^j, with at least this many factors of 2 in all; so the levels
@@ -88,25 +81,17 @@ class MeanStatistic:
     deviation: float       # |mean - log Q|
 
 
-def _processes(workers: int | None) -> int:
-    """Pool processes for a request of `workers`, at most the core count: a
-    fork pool starts all of its processes at once. 1 means run serially."""
-    return min(workers or 1, os.cpu_count() or 1)
-
-
 def scan_range(block: int, cache: ConductorCache | None = None,
                n_terms: int = DEFAULT_EM_TERMS,
                workers: int | None = 1) -> list[ScanRecord]:
     """One record per q in (block, 2*block], ascending.
 
     The conductors of the block are exactly 2..2*block: d > block is a q of
-    the block itself, and d <= block has a multiple in it. One pass over
-    the cache reads their totals. Those it lacks are computed by
-    conductor_totals, which evaluates the special functions for many
-    conductors in one batch; with workers > 1 they go to a process pool in
-    CHUNKS_PER_WORKER interleaved blocks per process, one batch each (they
-    are independent pure functions), and the pool has min(workers, cores)
-    processes. A warm cache computes nothing and factors no q.
+    the block itself, and d <= block has a multiple in it. One
+    cache.fill(conductors, n_terms, workers) gives their totals, the one
+    route to them: it computes those the cache lacks, with workers > 1 in
+    interleaved batches in a pool of min(workers, cores) processes. A warm
+    cache computes nothing and factors no q.
 
     Each total then goes to the q of the block that are multiples of its
     conductor, and gamma_q is one math.fsum of gamma and those terms: the
@@ -119,19 +104,7 @@ def scan_range(block: int, cache: ConductorCache | None = None,
         cache = ConductorCache()
     top = 2 * block
     conductors = range(2, top + 1)
-    totals = [cache.get(d, n_terms) for d in conductors]
-    missing = [d for d, rec in zip(conductors, totals) if rec is None]
-    if missing:
-        procs = _processes(workers)
-        if procs > 1 and len(missing) > 1:
-            n_chunks = min(len(missing), procs * CHUNKS_PER_WORKER)
-            chunks = [missing[k::n_chunks] for k in range(n_chunks)]
-            with ProcessPoolExecutor(max_workers=min(procs, n_chunks)) as pool:
-                batch = partial(conductor_totals, n_terms=n_terms)
-                for part in pool.map(batch, chunks):
-                    for rec in part:
-                        cache.put(rec)
-        totals = cache.fill(conductors, n_terms)
+    totals = cache.fill(conductors, n_terms, workers)
     terms = [[EULER_GAMMA] for _ in range(block)]    # terms[q - block - 1]
     for d, rec in zip(conductors, totals):
         # the multiples of d in (block, top], from the first above block
@@ -295,19 +268,6 @@ def _level_errors(arr, w, psi_x: float, chains) -> list[tuple[int, float]]:
     return out
 
 
-#: Probe inputs of a pool worker, set once by _init_level_worker.
-_LEVEL_INPUTS: tuple = ()
-
-
-def _init_level_worker(arr, w, psi_x: float) -> None:
-    global _LEVEL_INPUTS
-    _LEVEL_INPUTS = (arr, w, psi_x)
-
-
-def _pooled_level_errors(chains) -> list[tuple[int, float]]:
-    return _level_errors(*_LEVEL_INPUTS, chains)
-
-
 def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
              prime_powers: bool = False,
              workers: int | None = 1) -> EhProbeRecord:
@@ -329,11 +289,12 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     1.2 ms; the quotient and residue buffers are allocated once per serial
     run or pool chunk.
 
-    With workers > 1 the chains, which are independent, run in a pool of
-    min(workers, cores) processes that receives only the residue base and
-    the weights, in interleaved chunks of chains. Each chain does the same
-    arithmetic as in the serial loop and the total is summed in ascending
-    m, so the record is the same bit for bit.
+    With workers > 1 the chains, which are independent, run in interleaved
+    chunks in the library's one pool (ekgamma._map_chunks), of
+    min(workers, cores) processes that receive the residue base, the
+    weights and psi(x) once each. Each chain does the same arithmetic as in
+    the serial loop and the total is summed in ascending m, so the record
+    is the same bit for bit.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -350,18 +311,8 @@ def _probe_levels(inputs, x: float, epsilon: float,
     psi_x, arr, w = inputs
     m_max = int(math.floor(x ** (1.0 - epsilon)))
     chains = _chains(range(1, m_max + 1), partial(_probe_top, m_max))
-    procs = _processes(workers)
-    if procs > 1 and len(chains) > 1:
-        n_chunks = min(len(chains), procs * CHUNKS_PER_WORKER)
-        chunks = [chains[k::n_chunks] for k in range(n_chunks)]
-        with ProcessPoolExecutor(max_workers=min(procs, n_chunks),
-                                 initializer=_init_level_worker,
-                                 initargs=(arr, w, psi_x)) as pool:
-            per_m = sorted(pair for part in
-                           pool.map(_pooled_level_errors, chunks)
-                           for pair in part)
-    else:
-        per_m = sorted(_level_errors(arr, w, psi_x, chains))
+    per_m = sorted(_map_chunks(_level_errors, chains, workers,
+                               arr, w, psi_x))
     return EhProbeRecord(x=float(x), epsilon=float(epsilon), m_max=m_max,
                          total=math.fsum(e for _, e in per_m),
                          per_m=tuple(per_m))

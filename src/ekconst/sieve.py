@@ -92,12 +92,17 @@ def psi(tables: ArithmeticTables, x: float) -> float:
     return fsum_array(tables.prime_power_logs[:count])
 
 
-def psi_mod(tables: ArithmeticTables, x: float, q: int, a: int) -> float:
-    """psi(x; q, a) = sum of Lambda(n) over n <= x with n congruent to a mod q."""
+def _check_class(q: int, a: int) -> None:
+    """The one check of a residue class a mod q: q >= 1 and 0 <= a < q."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     if not 0 <= a < q:
         raise ValueError(f"residue must satisfy 0 <= a < q, got a={a}, q={q}")
+
+
+def psi_mod(tables: ArithmeticTables, x: float, q: int, a: int) -> float:
+    """psi(x; q, a) = sum of Lambda(n) over n <= x with n congruent to a mod q."""
+    _check_class(q, a)
     xf = _check_x(tables, x)
     count = int(np.searchsorted(tables.prime_powers, xf, side="right"))
     pp = tables.prime_powers[:count]
@@ -266,8 +271,5 @@ def psi_mod_stream(x: float, q: int, a: int, *,
                    segment: int = STREAM_SEGMENT) -> float:
     """psi(x; q, a) without tables, same contract as psi_mod and equal to it
     bit for bit."""
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    if not 0 <= a < q:
-        raise ValueError(f"residue must satisfy 0 <= a < q, got a={a}, q={q}")
+    _check_class(q, a)
     return _stream_core(x, q, a, segment)

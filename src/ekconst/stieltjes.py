@@ -41,6 +41,13 @@ EULER_GAMMA = 0.57721566490153286061
 #: change no double measurably; each depth keeps its own precision tag.
 DEFAULT_EM_TERMS = 16
 
+
+def _check_em_terms(n_terms: int) -> None:
+    """The one check of an Euler-Maclaurin depth: at least 10 terms."""
+    if n_terms < 10:
+        raise ValueError(f"n_terms must be >= 10, got {n_terms}")
+
+
 # (B_{2j} / (2j), H_{2j-1}) for j = 1..6, as exact fractions evaluated once.
 _BERN_OVER_2J = [
     float(Fraction(1, 12)),
@@ -245,8 +252,7 @@ def stieltjes01(
     """
     if a < 1 or q < 1:
         raise ValueError(f"need a >= 1 and q >= 1, got a={a}, q={q}")
-    if n_terms < 10:
-        raise ValueError(f"n_terms must be >= 10, got {n_terms}")
+    _check_em_terms(n_terms)
     c0, c1, err = _em_laurent(np.float64(a / q), n_terms)
     if err_target is not None and err > err_target:
         raise PrecisionError(err, err_target)
@@ -260,8 +266,7 @@ def stieltjes_pair_table(
     """(gamma0, gamma1) at a/q for a = 1..q, as arrays indexed by a-1."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if n_terms < 10:
-        raise ValueError(f"n_terms must be >= 10, got {n_terms}")
+    _check_em_terms(n_terms)
     x = np.arange(1, q + 1, dtype=np.float64) / q
     c0, c1, err = _em_laurent(x, n_terms)
     return c0, -c1, err

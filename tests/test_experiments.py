@@ -11,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ekconst import (ConductorCache, EhProbeRecord, RatioBin, ScanRecord,
-                     build_tables, dyadic_mean, eh_probe, emit, experiments,
-                     gamma_q, parse_scan_csv, psi, ratio_histogram, render,
-                     residue_sum_check, residue_sum_checks, scan_range,
-                     theorem_statistic)
+                     build_tables, decompose, dyadic_mean, eh_probe, emit,
+                     experiments, gamma_q, parse_scan_csv, psi,
+                     ratio_histogram, render, residue_sum_check,
+                     residue_sum_checks, scan_range, theorem_statistic)
 from ekconst import ekgamma, sieve
 from ekconst.experiments import (HISTOGRAM_HEADER, PER_M_HEADER,
                                  PROBE_HEADER, SCAN_HEADER)
@@ -71,7 +71,6 @@ def test_warm_scan_range_only_reads_the_cache(monkeypatch, shared_cache):
     def refuse(*args, **kwargs):
         raise AssertionError("a warm scan computed something")
     for module, name in [(ekgamma, "conductor_totals"),
-                         (experiments, "conductor_totals"),
                          (ekgamma, "build_group"), (sieve, "divisors"),
                          (ekgamma, "divisors")]:
         monkeypatch.setattr(module, name, refuse)
@@ -110,8 +109,9 @@ class _RecordingPool:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ekgamma.concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(ekgamma.os, "cpu_count", lambda: 2)
     _RecordingPool.made = []
     return _RecordingPool.made
 
@@ -120,23 +120,44 @@ def test_scan_range_pool_capped_at_core_count(recording_pool):
     serial = scan_range(40, ConductorCache(path=None), workers=1)
     assert recording_pool == []
     pooled = scan_range(40, ConductorCache(path=None), workers=10_000)
-    assert recording_pool == [(2, 2 * experiments.CHUNKS_PER_WORKER)]
+    assert recording_pool == [(2, 2 * ekgamma.CHUNKS_PER_WORKER)]
     assert pooled == serial
 
 
 def test_eh_probe_pool_capped_at_core_count(recording_pool, tables_small):
     serial = eh_probe(1e4, 0.5, tables_small, workers=1)
     pooled = eh_probe(1e4, 0.5, tables_small, workers=10_000)
-    assert recording_pool == [(2, 2 * experiments.CHUNKS_PER_WORKER)]
+    assert recording_pool == [(2, 2 * ekgamma.CHUNKS_PER_WORKER)]
     assert pooled == serial
 
 
 def test_unknown_core_count_runs_serially(recording_pool, monkeypatch,
                                           tables_small):
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(ekgamma.os, "cpu_count", lambda: None)
     scan_range(12, ConductorCache(path=None), workers=8)
     eh_probe(1e4, 0.5, tables_small, workers=8)
     assert recording_pool == []
+
+
+def test_gamma_q_and_decompose_never_start_a_pool(recording_pool,
+                                                  tables_small):
+    cache = ConductorCache(path=None)
+    gamma_q(720, cache)
+    decompose(840, 1e4, 1e4, tables_small, cache)
+    assert len(cache) > 1           # both computed conductors, serially
+    assert recording_pool == []
+
+
+def test_fill_pooled_stores_the_serial_rows():
+    qs = [97, 5, 720, *range(1, 30), 12, 5]    # unsorted, repeated
+    serial, pooled = ConductorCache(path=None), ConductorCache(path=None)
+
+    def bits(recs):
+        return [(r.q, r.total.hex(), r.imag_residual.hex(), r.tag)
+                for r in recs]
+    assert bits(pooled.fill(qs, workers=2)) == bits(serial.fill(qs,
+                                                                workers=1))
+    assert bits(pooled.records()) == bits(serial.records())
 
 
 def test_scan_range_warm_cache_reuses(shared_cache):

@@ -1,0 +1,55 @@
+"""Structure of the library: one process pool, one route to conductor
+totals.
+
+Both checks read the source of src/ekconst with ast. A name counts where it
+is loaded, that is called or passed as a value; imports, the strings of
+__all__ and docstrings do not.
+"""
+import ast
+from pathlib import Path
+
+import ekconst
+
+SOURCES = sorted(Path(ekconst.__file__).parent.glob("*.py"))
+
+
+def _scoped_nodes():
+    """(module, qualified name of the enclosing function or class, or
+    "<module>", node) for every node of the library's source."""
+    def walk(module, node, scope):
+        yield module, scope or "<module>", node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            yield from walk(module, child, scope)
+
+    for path in SOURCES:
+        yield from walk(path.stem,
+                        ast.parse(path.read_text(encoding="utf-8")), "")
+
+
+def _name(node) -> str | None:
+    """The name a Name or an Attribute node loads, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_sources_found():
+    assert {"ekgamma", "experiments", "decomp"} <= {p.stem for p in SOURCES}
+
+
+def test_one_function_constructs_the_process_pool():
+    sites = {(module, scope) for module, scope, node in _scoped_nodes()
+             if isinstance(node, ast.Call)
+             and _name(node.func) == "ProcessPoolExecutor"}
+    assert sites == {("ekgamma", "_map_chunks")}
+
+
+def test_conductor_totals_only_reached_through_fill():
+    sites = {(module, scope) for module, scope, node in _scoped_nodes()
+             if _name(node) == "conductor_totals"}
+    assert sites == {("ekgamma", "ConductorCache.fill")}
