@@ -91,20 +91,17 @@ def cmd_decompose(args) -> int:
     if not (q <= x and 1 < x <= bound):
         raise ValueError(f"need q <= x <= bound and x > 1, got q={q}, x={x}, "
                          f"bound={bound}")
-    if args.e is None:
-        x_split = float(min(max(q, q * q), x))
-    else:
-        if not (math.isfinite(args.e) and args.e > 0):
-            raise ValueError(
-                f"split exponent must be finite and positive, got {args.e}")
-        try:
-            x_split = float(q) ** args.e
-        except OverflowError:
-            x_split = math.inf
-        if x_split > x:
-            raise ValueError(
-                f"x_split = q^e = {_g(x_split)} exceeds x = {_g(x)}")
-        x_split = float(max(q, x_split))
+    e = DEFAULT_SPLIT_EXPONENT if args.e is None else args.e
+    if not (math.isfinite(e) and e > 0):
+        raise ValueError(
+            f"split exponent must be finite and positive, got {e}")
+    try:
+        x_split = float(q) ** e
+    except OverflowError:
+        x_split = math.inf
+    if x_split > x and args.e is not None:
+        raise ValueError(f"x_split = q^e = {_g(x_split)} exceeds x = {_g(x)}")
+    x_split = float(min(max(q, x_split), x))    # the default clamps to x
     tables = build_tables(int(bound))
     cache = _open_cache(args.cache_dir)
     report = decompose(q, x, x_split, tables, cache, args.em_terms)

@@ -268,10 +268,7 @@ def primitive_phi_sum(d: int, x: float, tables: ArithmeticTables) -> float:
     real pass over the prime powers: one residue, one gather and one exactly
     rounded sum. d = 1 gives the plain smoothed Chebyshev average.
     """
-    if d < 1:
-        raise ValueError(f"modulus must be >= 1, got {d}")
-    if x <= 1 or x > tables.bound:
-        raise ValueError(f"need 1 < x <= {tables.bound}, got {x}")
+    _check_args(d, x, tables)
     return _weighted_prime_sum(_class_table(d), x, tables) / (x - 1.0)
 
 

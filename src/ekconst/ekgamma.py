@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accum import fsum_complex
+from .accum import fsum_array
 from .characters import (CharacterGroup, DirichletCharacter, build_group,
                          conductor_grid)
 from .sieve import divisors
@@ -216,7 +216,7 @@ def l_at_one(chi: DirichletCharacter) -> complex:
         [vals[a] * digamma_rational(a, q) for a in range(1, q) if vals[a] != 0],
         dtype=np.complex128,
     )
-    return -fsum_complex(terms) / q
+    return -complex(fsum_array(terms.real), fsum_array(terms.imag)) / q
 
 
 def _dft_total(group: CharacterGroup, w0: np.ndarray, w1: np.ndarray,
@@ -236,10 +236,8 @@ def _dft_total(group: CharacterGroup, w0: np.ndarray, w1: np.ndarray,
             "log-derivatives would be unreliable"
         )
     logderiv = -math.log(q) - sel1 / sel0
-    # math.fsum, not fsum_array: a conductor has a few hundred characters,
-    # where the set-up of fsum_array's chunk costs more than Python floats
-    total = math.fsum(logderiv.real.tolist())
-    imag = abs(math.fsum(logderiv.imag.tolist()))
+    total = fsum_array(logderiv.real)
+    imag = abs(fsum_array(logderiv.imag))
     return ConductorTotal(q=q, total=total, imag_residual=imag, tag=tag)
 
 

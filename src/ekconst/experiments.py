@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .accum import fsum_array
 from .ekgamma import ConductorCache, _map_chunks
 from .sieve import (ArithmeticTables, _higher_powers, coprime_mask,
                     factorize, psi, residues)
@@ -355,7 +356,7 @@ def _residue_checks(inputs, levels: list[int], x: float,
     psi_x, arr, w = inputs
     quot, res = _residue_buffers(arr)
     wanted = set(levels)
-    lhs = {m: math.fsum((sums - psi_x / sums.size).tolist())
+    lhs = {m: fsum_array(sums - psi_x / sums.size)
            for chain in _chains(wanted, partial(_check_top, limit=arr.size))
            for m, sums in _chain_class_sums(arr, w, chain, quot, res)
            if m in wanted}
@@ -372,7 +373,7 @@ def _residue_checks(inputs, levels: list[int], x: float,
             pv for pv in higher if not prime_powers or math.gcd(pv, m) > 1]
         logs = tables.prime_power_logs[
             np.searchsorted(tables.prime_powers, removed)]
-        out.append((lhs[m], -math.fsum(logs.tolist())))
+        out.append((lhs[m], -fsum_array(logs)))
     return out
 
 

@@ -3,7 +3,9 @@
 l_values: each character's L(1, chi) comes from the digamma closed form
 (ekconst.l_at_one) and its L'(1, chi) from one character sum over the
 gamma_1(a/q) table of stieltjes_pair_table; no FFT and no conductor grid is
-involved. It checks the DFT of ekgamma.
+involved, and the character sum of L'(1, chi) is a math.fsum of its real
+and imaginary parts, not the library's fsum_array. It checks the DFT of
+ekgamma.
 
 phi_chi: the averaged prime-sum proxy of one character,
 
@@ -24,7 +26,6 @@ import numpy as np
 
 from ekconst import (DEFAULT_EM_TERMS, ArithmeticTables, l_at_one,
                      stieltjes_pair_table)
-from ekconst.accum import fsum_complex
 from ekconst.characters import DirichletCharacter
 from ekconst.ekgamma import MIN_ABS_L
 
@@ -57,7 +58,9 @@ def l_values(chi: DirichletCharacter,
         dtype=np.complex128,
     )
     logq = math.log(q)
-    l_prime = -logq * l_one - fsum_complex(terms) / q
+    char_sum = complex(math.fsum(terms.real.tolist()),
+                       math.fsum(terms.imag.tolist()))
+    l_prime = -logq * l_one - char_sum / q
     logderiv = l_prime / l_one
     # Each table entry carries em_err; the character sum has at most q unit
     # coefficients, so both L and L' inherit about em_err after the 1/q.

@@ -1,4 +1,8 @@
-"""Summation helpers against math.fsum as the exact oracle."""
+"""Summation helpers against math.fsum as the exact oracle.
+
+fsum_array hands arrays shorter than _KERNEL_MIN to math.fsum, so each case
+on short lists also runs the kernel route of a long array (_kernel_sum)
+against math.fsum."""
 import math
 
 import numpy as np
@@ -6,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekconst import fsum_array
-from ekconst.accum import CHUNK, fixed_sum, fsum_complex
+from ekconst import accum, fsum_array
+from ekconst.accum import CHUNK, _KERNEL_MIN, fixed_sum, round_fixed
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -29,15 +33,29 @@ def _outcome(fn, xs):
         return type(exc)
 
 
+def _kernel_sum(arr):
+    """fsum_array's route for an array of _KERNEL_MIN or more elements, at
+    any length: fixed_sum and round_fixed, or math.fsum where fixed_sum
+    declines."""
+    total = fixed_sum(arr)
+    if total is None:
+        return math.fsum(arr.tolist())
+    return round_fixed(total)
+
+
 def _same_as_fsum(xs):
     arr = np.array(xs, dtype=np.float64)
-    assert _outcome(fsum_array, arr) == _outcome(math.fsum, xs)
+    want = _outcome(math.fsum, xs)
+    assert _outcome(fsum_array, arr) == want
+    assert _outcome(_kernel_sum, arr) == want
 
 
 @given(st.lists(finite, max_size=300))
 def test_fsum_array_is_fsum(xs):
     arr = np.array(xs, dtype=np.float64)
     assert fsum_array(arr) == math.fsum(xs)
+    assert fixed_sum(arr) is not None
+    assert _kernel_sum(arr) == math.fsum(xs)
 
 
 @settings(max_examples=300)
@@ -59,7 +77,8 @@ def test_fsum_array_exact_cancellation(xs, rnd):
     # every term and its negation: the exact sum is 0, returned as +0.0
     terms = xs + [-x for x in xs]
     rnd.shuffle(terms)
-    assert float.hex(fsum_array(np.array(terms))) == float.hex(0.0)
+    for fn in (fsum_array, _kernel_sum):
+        assert float.hex(fn(np.array(terms))) == float.hex(0.0)
     _same_as_fsum(terms + [xs[0]])
 
 
@@ -87,7 +106,9 @@ def test_fsum_array_slices_sum_exactly(size):
     half = size // 2
     arr[size - half:] = -arr[:half] + rng.standard_normal(half)
     assert fixed_sum(arr) is not None
-    assert float.hex(fsum_array(arr)) == float.hex(math.fsum(arr.tolist()))
+    want = float.hex(math.fsum(arr.tolist()))
+    assert float.hex(fsum_array(arr)) == want
+    assert float.hex(_kernel_sum(arr)) == want
 
 
 @pytest.mark.parametrize("xs, want", [
@@ -96,9 +117,12 @@ def test_fsum_array_slices_sum_exactly(size):
     ([1.0, math.nan], math.nan), ([math.inf, math.nan], math.nan),
 ])
 def test_fsum_array_special_values(xs, want):
-    got = fsum_array(np.array(xs, dtype=np.float64))
-    assert float.hex(got) == float.hex(want)
-    assert float.hex(got) == float.hex(math.fsum(xs))
+    arr = np.array(xs, dtype=np.float64)
+    # fixed_sum declines exactly the inputs that are not all finite
+    assert (fixed_sum(arr) is None) == (not np.isfinite(arr).all())
+    for got in (fsum_array(arr), _kernel_sum(arr)):
+        assert float.hex(got) == float.hex(want)
+        assert float.hex(got) == float.hex(math.fsum(xs))
 
 
 @pytest.mark.parametrize("xs, error", [
@@ -108,10 +132,13 @@ def test_fsum_array_special_values(xs, want):
     ([1e308, 1e308, -1e308], OverflowError),
 ])
 def test_fsum_array_raises_as_fsum(xs, error):
+    arr = np.array(xs, dtype=np.float64)
+    assert fixed_sum(arr) is None
     with pytest.raises(error):
         math.fsum(xs)
-    with pytest.raises(error):
-        fsum_array(np.array(xs, dtype=np.float64))
+    for fn in (fsum_array, _kernel_sum):
+        with pytest.raises(error):
+            fn(arr)
 
 
 def test_fsum_array_non_finite_beyond_the_first_chunk():
@@ -124,8 +151,29 @@ def test_fsum_array_non_finite_beyond_the_first_chunk():
 
 
 @given(st.lists(st.tuples(finite, finite), max_size=100))
-def test_fsum_complex_componentwise(pairs):
+def test_fsum_array_sums_complex_parts(pairs):
+    # the strided .real and .imag views of a complex array
     arr = np.array([complex(a, b) for a, b in pairs], dtype=np.complex128)
-    got = fsum_complex(arr)
-    assert got.real == math.fsum(a for a, _ in pairs)
-    assert got.imag == math.fsum(b for _, b in pairs)
+    for fn in (fsum_array, _kernel_sum):
+        assert fn(arr.real) == math.fsum(a for a, _ in pairs)
+        assert fn(arr.imag) == math.fsum(b for _, b in pairs)
+
+
+@pytest.mark.parametrize("size", [_KERNEL_MIN - 1, _KERNEL_MIN,
+                                  _KERNEL_MIN + 1])
+@pytest.mark.parametrize("view", ["contiguous", "real", "imag"])
+def test_fsum_array_size_rule(monkeypatch, size, view):
+    # below _KERNEL_MIN elements math.fsum, from there on the kernel, and
+    # the same float either way
+    rng = np.random.default_rng(size)
+    a, b = rng.standard_normal((2, size)) * 10.0 ** rng.integers(
+        -8, 9, (2, size))
+    z = a + 1j * b
+    arr = {"contiguous": a, "real": z.real, "imag": z.imag}[view]
+    calls = []
+    monkeypatch.setattr(accum, "fixed_sum",
+                        lambda a: calls.append(len(a)) or fixed_sum(a))
+    want = float.hex(math.fsum(arr.tolist()))
+    assert float.hex(fsum_array(arr)) == want
+    assert float.hex(_kernel_sum(arr)) == want
+    assert calls == ([size] if size >= _KERNEL_MIN else [])

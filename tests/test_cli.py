@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ekconst import experiments, parse_scan_csv
+from ekconst import cli, experiments, parse_scan_csv
 from ekconst.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                          entry)
 
@@ -113,6 +113,19 @@ def test_decompose_default_split_is_clamped(tmp_path, capsys):
                         "--bound", "100000", "--cache-dir", str(tmp_path))
     assert code == EXIT_OK
     assert _value(out, "x_split") == "100"
+
+
+@pytest.mark.parametrize("default, want", [(2.0, "64"), (1.5, "22.627416998")])
+def test_decompose_default_split_reads_the_constant(tmp_path, capsys,
+                                                    monkeypatch, default,
+                                                    want):
+    # no --e: x_split = q^DEFAULT_SPLIT_EXPONENT, as the same --e gives
+    monkeypatch.setattr(cli, "DEFAULT_SPLIT_EXPONENT", default)
+    outs = [_run(capsys, "decompose", "8", "--x", "1000", *e, "--bound",
+                 "100000", "--cache-dir", str(tmp_path))[1]
+            for e in ((), ("--e", str(default)))]
+    assert _value(outs[0], "x_split") == want
+    assert outs[0] == outs[1]
 
 
 def test_decompose_oversized_explicit_split_rejected(tmp_path, capsys):

@@ -381,6 +381,16 @@ def test_gamma_q_from_prime_sums_domain_validation(tables_big):
             gamma_q_from_prime_sums(4, x, tables_big)
 
 
+def test_primitive_phi_sum_domain_validation(tables_big):
+    # the module's one q/x check, with the message of every other function
+    with pytest.raises(ValueError, match="q must be >= 1, got 0"):
+        primitive_phi_sum(0, 1e4, tables_big)
+    for x in (1.0, 0.5, 2e7, math.nan):
+        with pytest.raises(ValueError, match=r"^x must satisfy 1 < x <= "
+                                             r"10000000 \(table bound\), got"):
+            primitive_phi_sum(4, x, tables_big)
+
+
 # -------------------------------------------------------------- decompose
 
 

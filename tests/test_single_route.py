@@ -1,7 +1,7 @@
 """Structure of the library: one process pool, one route to conductor
-totals.
+totals, one exact sum of a float array.
 
-Both checks read the source of src/ekconst with ast. A name counts where it
+Every check reads the source of src/ekconst with ast. A name counts where it
 is loaded, that is called or passed as a value; imports, the strings of
 __all__ and docstrings do not.
 """
@@ -53,3 +53,13 @@ def test_conductor_totals_only_reached_through_fill():
     sites = {(module, scope) for module, scope, node in _scoped_nodes()
              if _name(node) == "conductor_totals"}
     assert sites == {("ekgamma", "ConductorCache.fill")}
+
+
+def test_only_fsum_array_sums_a_tolist():
+    # math.fsum(arr.tolist()) is fsum_array's route for short arrays; every
+    # other module sums a float array through fsum_array
+    sites = {(module, scope) for module, scope, node in _scoped_nodes()
+             if isinstance(node, ast.Call) and _name(node.func) == "fsum"
+             and any(isinstance(arg, ast.Call)
+                     and _name(arg.func) == "tolist" for arg in node.args)}
+    assert sites == {("accum", "fsum_array")}
