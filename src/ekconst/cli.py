@@ -22,9 +22,8 @@ from dataclasses import asdict
 
 from .decomp import decompose
 from .ekgamma import CacheCorruption, ConductorCache, gamma_q
-from .experiments import (_g, _probe_inputs, _probe_levels, _residue_checks,
-                          dyadic_mean, emit, render, scan_range,
-                          theorem_statistic)
+from .experiments import (_g, dyadic_mean, eh_probe, emit, render,
+                          residue_sum_checks, scan_range, theorem_statistic)
 from .sieve import MAX_TABLE_BOUND, build_tables
 from .stieltjes import DEFAULT_EM_TERMS
 
@@ -161,14 +160,11 @@ def cmd_probe(args) -> int:
         raise ValueError("--per-m-out requires --out")
     workers = _workers(args)
     tables = build_tables(int(bound))
-    # psi(x), the residue base and the weights, shared by the probe and its
-    # self-check (eh_probe and residue_sum_checks would each build them)
-    inputs = _probe_inputs(tables, x, args.prime_powers)
-    probe = _probe_levels(inputs, x, args.epsilon, workers)
+    probe = eh_probe(x, args.epsilon, tables, args.prime_powers, workers)
     checked = min(probe.m_max, SELF_CHECK_MODULI)
     tolerance = SELF_CHECK_TOL * max(1.0, x / SELF_CHECK_BASE_X)
-    checks = _residue_checks(inputs, list(range(1, checked + 1)), x, tables,
-                             args.prime_powers)
+    checks = residue_sum_checks(range(1, checked + 1), x, tables,
+                                args.prime_powers)
     worst = max(abs(lhs - rhs) for lhs, rhs in checks)
     ok = worst <= tolerance
     if args.out is not None:

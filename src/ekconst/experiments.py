@@ -7,7 +7,9 @@ average. The probe measures, for every level m up to x^(1-epsilon), the
 worst prime-counting error over the coprime residue classes mod m.
 
 The self-check residue_sum_checks compares the probe's class sums with an
-exact sum of Lambda over the prime powers they leave out of psi(x).
+exact sum of Lambda over the prime powers they leave out of psi(x). Each
+of the two reads psi(x) and its weights (_weights_upto, slices of the
+prime-power table) from the tables itself.
 
 Emission is deliberately dumb: fixed headers, fixed significant digits,
 LF line endings, records in ascending order, so identical inputs produce
@@ -172,15 +174,21 @@ def ratio_histogram(records: list[ScanRecord], bins: int) -> list[RatioBin]:
     return out
 
 
-def _probe_inputs(tables: ArithmeticTables, x: float, prime_powers: bool
-                  ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(psi(x), residue base, weights): what the probe and its self-check
-    read of the tables, built once for both by cmd_probe."""
-    return (psi(tables, x), *_weights_upto(tables, x, prime_powers))
+def _higher_upto(tables: ArithmeticTables, xi: int) -> list[int]:
+    """The prime powers p^v <= xi with v >= 2, from sieve._higher_powers."""
+    roots = tables.primes[:np.searchsorted(tables.primes, math.isqrt(xi),
+                                           side="right")].tolist()
+    return [pv for pv, _ in _higher_powers(roots, xi)]
 
 
 def _weights_upto(tables: ArithmeticTables, x: float, prime_powers: bool):
     """The probe's residue base (primes or prime powers <= x) and weights.
+
+    Both are slices of the prime-power table. On the primes base the higher
+    powers p^v (v >= 2), from _higher_upto, are masked out, and the masked
+    base must equal the primes <= x: the self-check's right side is built
+    from the same higher powers, so a power missed here raises instead of
+    cancelling there.
 
     The base is a uint32 copy when the table bound fits, which makes the
     per-level quotient arr // top (sieve.residues) cheaper: 0.25 ms against
@@ -188,10 +196,18 @@ def _weights_upto(tables: ArithmeticTables, x: float, prime_powers: bool):
     Xeon with numpy 2.4. Residues, and so every bucket sum, are the same
     either way.
     """
-    base = tables.prime_powers if prime_powers else tables.primes
-    k = int(np.searchsorted(base, math.floor(x), side="right"))
-    arr = base[:k]
-    w = tables.prime_power_logs[np.searchsorted(tables.prime_powers, arr)]
+    xi = math.floor(x)
+    k = int(np.searchsorted(tables.prime_powers, xi, side="right"))
+    arr, w = tables.prime_powers[:k], tables.prime_power_logs[:k]
+    if not prime_powers:
+        keep = np.ones(k, dtype=bool)
+        keep[np.searchsorted(arr, _higher_upto(tables, xi))] = False
+        arr, w = arr[keep], w[keep]
+        primes = tables.primes[:np.searchsorted(tables.primes, xi,
+                                                side="right")]
+        if not np.array_equal(arr, primes):
+            raise RuntimeError(f"the prime powers <= {xi} without the "
+                               "higher powers are not the primes")
     if tables.bound < 2**32:
         arr = arr.astype(np.uint32)
     return arr, w
@@ -290,26 +306,21 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     1.2 ms; the quotient and residue buffers are allocated once per serial
     run or pool chunk.
 
-    With workers > 1 the chains, which are independent, run in interleaved
-    chunks in the library's one pool (ekgamma._map_chunks), of
-    min(workers, cores) processes that receive the residue base, the
-    weights and psi(x) once each. Each chain does the same arithmetic as in
-    the serial loop and the total is summed in ascending m, so the record
-    is the same bit for bit.
+    psi(x) and the residue base and weights (_weights_upto, slices of the
+    prime-power table) are read once per call, about 14 ms at x = 1e7 on
+    the primes base. With workers > 1 the chains, which are independent,
+    run in interleaved chunks in the library's one pool
+    (ekgamma._map_chunks), of min(workers, cores) processes that receive
+    the residue base, the weights and psi(x) once each. Each chain does the
+    same arithmetic as in the serial loop and the total is summed in
+    ascending m, so the record is the same bit for bit.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 2.0 <= x <= tables.bound:
         raise ValueError(f"need 2 <= x <= {tables.bound}, got {x}")
-    return _probe_levels(_probe_inputs(tables, x, prime_powers), x, epsilon,
-                         workers)
-
-
-def _probe_levels(inputs, x: float, epsilon: float,
-                  workers: int | None) -> EhProbeRecord:
-    """eh_probe on the (psi(x), base, weights) of _probe_inputs, for an x
-    and epsilon already validated."""
-    psi_x, arr, w = inputs
+    psi_x = psi(tables, x)
+    arr, w = _weights_upto(tables, x, prime_powers)
     m_max = int(math.floor(x ** (1.0 - epsilon)))
     chains = _chains(range(1, m_max + 1), partial(_probe_top, m_max))
     per_m = sorted(_map_chunks(_level_errors, chains, workers,
@@ -344,26 +355,15 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
         raise ValueError(f"need 2 <= x <= {tables.bound}, got {x}")
     if any(m > x for m in levels):
         raise ValueError(f"every m must be <= x={x}, got {max(levels)}")
-    return _residue_checks(_probe_inputs(tables, x, prime_powers), levels, x,
-                           tables, prime_powers)
-
-
-def _residue_checks(inputs, levels: list[int], x: float,
-                    tables: ArithmeticTables, prime_powers: bool
-                    ) -> list[tuple[float, float]]:
-    """residue_sum_checks on the (psi(x), base, weights) of _probe_inputs,
-    for levels already validated."""
-    psi_x, arr, w = inputs
+    psi_x = psi(tables, x)
+    arr, w = _weights_upto(tables, x, prime_powers)
     quot, res = _residue_buffers(arr)
     wanted = set(levels)
     lhs = {m: fsum_array(sums - psi_x / sums.size)
            for chain in _chains(wanted, partial(_check_top, limit=arr.size))
            for m, sums in _chain_class_sums(arr, w, chain, quot, res)
            if m in wanted}
-    xi = math.floor(x)
-    roots = tables.primes[:np.searchsorted(tables.primes, math.isqrt(xi),
-                                           side="right")].tolist()
-    higher = [pv for pv, _ in _higher_powers(roots, xi)]    # v >= 2
+    higher = _higher_upto(tables, math.floor(x))
     out = []
     for m in levels:
         # psi(x) has Lambda(n) that the coprime weights lack at n = p | m
@@ -496,10 +496,10 @@ def emit(payload, fmt: str, path, per_m_path=None) -> None:
     (m, max_abs_error).
     """
     text = render(payload, fmt)
+    if per_m_path is not None and _payload_kind(payload) != "probe":
+        raise ValueError("per_m_path only applies to probe records")
     _write(path, text)
     if per_m_path is not None:
-        if _payload_kind(payload) != "probe":
-            raise ValueError("per_m_path only applies to probe records")
         _write(per_m_path, _render_per_m(payload, fmt))
 
 

@@ -331,6 +331,53 @@ def test_uint32_and_int64_residues_agree(tables_small, prime_powers):
             == residue_sum_checks(levels, 1e5, tables_small, prime_powers))
 
 
+def _searched_weights(tables, x, prime_powers):
+    """The residue base and weights by a search of every base element in
+    the prime-power table: the route _weights_upto took before it sliced
+    the table."""
+    base = tables.prime_powers if prime_powers else tables.primes
+    arr = base[:np.searchsorted(base, math.floor(x), side="right")]
+    w = tables.prime_power_logs[np.searchsorted(tables.prime_powers, arr)]
+    if tables.bound < 2**32:
+        arr = arr.astype(np.uint32)
+    return arr, w
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("prime_powers", [False, True])
+@pytest.mark.parametrize("x", [2, 3, 4, 7.5, 8, 9, 1e4, 12345.6, 1e5, 1e7])
+def test_weights_match_search_oracle(tables_small, tables_big, x,
+                                     prime_powers, wide):
+    tables = tables_small if x <= tables_small.bound else tables_big
+    if wide:    # a table bound of 2**32 keeps the residue base in int64
+        tables = dataclasses.replace(tables, bound=2**32)
+    arr, w = experiments._weights_upto(tables, x, prime_powers)
+    want_arr, want_w = _searched_weights(tables, x, prime_powers)
+    assert arr.dtype == want_arr.dtype
+    assert arr.tobytes() == want_arr.tobytes()
+    assert w.dtype == want_w.dtype
+    assert w.tobytes() == want_w.tobytes()
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_primes_base_needs_every_higher_power(tables_small, monkeypatch,
+                                              drop):
+    # the self-check's right side and the primes base both take the higher
+    # powers from _higher_powers, so one it misses must raise, not cancel
+    real = experiments._higher_powers
+
+    def short(base, xi):
+        powers = list(real(base, xi))
+        del powers[drop]
+        return iter(powers)
+
+    monkeypatch.setattr(experiments, "_higher_powers", short)
+    with pytest.raises(RuntimeError, match="not the primes"):
+        eh_probe(1e5, 0.5, tables_small)
+    with pytest.raises(RuntimeError, match="not the primes"):
+        residue_sum_checks([1, 6], 1e5, tables_small)
+
+
 def _coprime_class_sums(arr, w, m):
     """Weight sums of the coprime residue classes mod m, ascending, from a
     pass of their own over the residue base: the route every level took
@@ -577,6 +624,9 @@ def test_per_m_path_rejected_for_non_probe(tmp_path):
     with pytest.raises(ValueError):
         emit(_toy_records(), "csv", tmp_path / "a.csv",
              per_m_path=tmp_path / "b.csv")
+    # rejected before the first write
+    assert not (tmp_path / "a.csv").exists()
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_histogram_emission(tmp_path):

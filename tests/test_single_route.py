@@ -1,5 +1,5 @@
 """Structure of the library: one process pool, one route to conductor
-totals, one exact sum of a float array.
+totals, one exact sum of a float array, one probe route from the CLI.
 
 Every check reads the source of src/ekconst with ast. A name counts where it
 is loaded, that is called or passed as a value; imports, the strings of
@@ -63,3 +63,21 @@ def test_only_fsum_array_sums_a_tolist():
              and any(isinstance(arg, ast.Call)
                      and _name(arg.func) == "tolist" for arg in node.args)}
     assert sites == {("accum", "fsum_array")}
+
+
+def test_cli_probes_through_the_public_functions():
+    # cmd_probe calls eh_probe and residue_sum_checks; the only private name
+    # of experiments that cli uses is the _g formatter
+    tree = ast.parse(next(p for p in SOURCES if p.stem == "cli")
+                     .read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("experiments")
+                for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in imported}
+    loaded |= {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and _name(node.value) == "experiments"}
+    assert {"eh_probe", "residue_sum_checks"} <= loaded
+    assert {name for name in loaded if name.startswith("_")} == {"_g"}
