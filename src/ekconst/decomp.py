@@ -300,7 +300,7 @@ def proxy_defect(q: int, x: float, tables: ArithmeticTables,
     _check_args(q, x, tables)
     if cache is None:
         cache = ConductorCache()
-    parts = [rec.total for rec in cache.fill(divisors(q)[1:], n_terms)]
+    parts = cache.fill(divisors(q)[1:], n_terms)
     parts.append(_proxy_average(q, x, tables))
     return math.fsum(parts)
 

@@ -20,10 +20,13 @@ DFT.
 
 ConductorCache.fill(qs, n_terms, workers) is the library's one route from
 conductors to totals: gamma_q, proxy_defect and scan_range all read their
-totals through it. It computes the conductors the cache lacks with
-conductor_totals and stores them; with workers > 1 they go through
-_map_chunks, the library's one process pool, in interleaved chunks. The
-probe maps its chains of levels through the same pool.
+totals through it, as a list of floats. It computes the conductors the
+cache lacks with conductor_totals and stores them; with workers > 1 they go
+through _map_chunks, the library's one process pool, in interleaved chunks.
+The probe maps its chains of levels through the same pool. The cache holds
+each row as a (total, imag_residual) float pair under its (q, tag) key, so
+a load and a warm fill build no object per row; get, records and verify
+build their ConductorTotal rows when they are called.
 
 For non-principal chi mod q the Hurwitz expansion gives, with the pole
 cancelling against sum_a chi(a) = 0,
@@ -42,6 +45,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import fcntl
+import io
 import math
 import os
 import tempfile
@@ -252,6 +256,12 @@ class CacheCorruption(ValueError):
 class ConductorCache:
     """File-backed memo of conductor totals, keyed by (q, precision tag).
 
+    Each row is held as the float pair (total, imag_residual) under its
+    key, so loading a file and a warm fill build no object per row; get,
+    records and verify return ConductorTotal rows built from the pairs, and
+    fill returns the totals alone. A missing file reads as an empty cache,
+    also one that another process's clear removes just before the open.
+
     The file is CSV with header ``q,total,imag_residual,tag``, rows sorted by
     (q, tag), floats written with repr (shortest round-trip form, so a reload
     is bit-identical), LF line endings. Reads are lock-free once loaded;
@@ -270,12 +280,13 @@ class ConductorCache:
     def __init__(self, path: str | os.PathLike | None = None, *,
                  load: bool = True) -> None:
         self.path = Path(path) if path is not None else None
-        self._data: dict[tuple[int, str], ConductorTotal] = {}
+        # (q, tag) -> (total, imag_residual)
+        self._data: dict[tuple[int, str], tuple[float, float]] = {}
         self._lock = threading.Lock()
         self._dirty = False   # rows put since the load or the last save
         self._stamp = None    # _file_stamp of the file last loaded or saved
-        if load and self.path is not None and self.path.exists():
-            self._load()
+        if load and self.path is not None:
+            self._data, self._stamp = self._read_file()
 
     @classmethod
     def default_path(cls, cache_dir: str | os.PathLike | None = None) -> Path:
@@ -285,27 +296,36 @@ class ConductorCache:
             cache_dir = Path.home() / ".cache" / "ekconst"
         return Path(cache_dir) / CACHE_FILE_NAME
 
-    def _load(self) -> None:
-        records, self._stamp = self._read_file()
-        for rec in records:
-            self._data[(rec.q, rec.tag)] = rec
-
-    def _read_file(self) -> tuple[list[ConductorTotal], tuple]:
-        """The file's records and the _file_stamp of the file they came
-        from."""
-        with open(self.path, encoding="ascii") as fh:
-            text = fh.read()
+    def _read_file(self) -> tuple[dict, tuple | None]:
+        """The file's rows and the _file_stamp of the file they came from;
+        no rows and no stamp if there is no file, as after a concurrent
+        clear, or if a parent of the path is not a directory (save then
+        reports the path)."""
+        try:
+            fh = open(self.path, "rb")
+        except (FileNotFoundError, NotADirectoryError):
+            return {}, None
+        with fh:
+            raw = fh.read()
             stamp = _file_stamp(os.fstat(fh.fileno()))
-        return self._parse(text), stamp
+        if not raw.isascii():
+            raw.decode("ascii")     # raises, at the byte's offset in the file
+        # one line at a time, with the newline rules of a text-mode read:
+        # a list of all the lines, held next to the rows, raises the peak
+        # RSS of a cold scan followed by warm ones by about 0.5 MB
+        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii")
+        return self._parse(lines), stamp
 
-    def _parse(self, text: str) -> list[ConductorTotal]:
-        out: list[ConductorTotal] = []
-        lines = text.split("\n")
-        if not lines or lines[0] != _CACHE_HEADER:
+    def _parse(self, lines) -> dict[tuple[int, str], tuple[float, float]]:
+        """The rows of the lines of a cache file, (q, tag) -> (total,
+        imag_residual) in file order, which is sorted order."""
+        out: dict[tuple[int, str], tuple[float, float]] = {}
+        if next(lines, "").rstrip("\n") != _CACHE_HEADER:
             raise CacheCorruption(
                 f"{self.path}: bad or missing header line")
         prev_key: tuple[int, str] | None = None
-        for lineno, line in enumerate(lines[1:], start=2):
+        for lineno, line in enumerate(lines, start=2):
+            line = line.rstrip("\n")
             if line == "":
                 continue
             parts = line.split(",")
@@ -325,7 +345,6 @@ class ConductorCache:
                 raise CacheCorruption(
                     f"{self.path}:{lineno}: unparseable values for conductor "
                     f"{q} ({exc})", q=q) from exc
-            tag = parts[3]
             if q < 1:
                 raise CacheCorruption(
                     f"{self.path}:{lineno}: conductor {q} out of range", q=q)
@@ -333,47 +352,52 @@ class ConductorCache:
                 raise CacheCorruption(
                     f"{self.path}:{lineno}: non-finite value at conductor {q}",
                     q=q)
-            key = (q, tag)
+            key = (q, parts[3])
             if prev_key is not None and key <= prev_key:
                 raise CacheCorruption(
                     f"{self.path}:{lineno}: rows not strictly sorted at "
                     f"conductor {q}", q=q)
             prev_key = key
-            out.append(ConductorTotal(q=q, total=total, imag_residual=imag,
-                                      tag=tag))
+            out[key] = (total, imag)
         return out
 
     def get(self, q: int, n_terms: int = DEFAULT_EM_TERMS) -> ConductorTotal | None:
-        return self._data.get((q, precision_tag(n_terms)))
+        tag = precision_tag(n_terms)
+        pair = self._data.get((q, tag))
+        return None if pair is None else ConductorTotal(q, *pair, tag)
 
     def records(self) -> list[ConductorTotal]:
         """All cached totals, sorted by (conductor, tag)."""
-        return [self._data[key] for key in sorted(self._data)]
+        return _totals(sorted(self._data.items()))
 
     def put(self, rec: ConductorTotal) -> None:
         with self._lock:
             key = (rec.q, rec.tag)
-            if self._data.get(key) != rec:
-                self._data[key] = rec
+            pair = (rec.total, rec.imag_residual)
+            if self._data.get(key) != pair:
+                self._data[key] = pair
                 self._dirty = True
 
     def fill(self, qs, n_terms: int = DEFAULT_EM_TERMS,
-             workers: int | None = 1) -> list[ConductorTotal]:
+             workers: int | None = 1) -> list[float]:
         """The totals of the conductors qs, in their order. Those the cache
         lacks are computed by conductor_totals, in ascending order, and
         stored: as one batch, or with workers > 1 as interleaved batches in
         the pool of _map_chunks. conductor_totals is elementwise, so the
         totals are the same bit for bit either way."""
         qs = list(qs)
-        found = [self.get(q, n_terms) for q in qs]
-        missing = sorted({q for q, rec in zip(qs, found) if rec is None})
+        tag = precision_tag(n_terms)
+        found = [self._data.get((q, tag)) for q in qs]
+        missing = sorted({q for q, pair in zip(qs, found) if pair is None})
         if not missing:
-            return found
-        fresh = {rec.q: rec for rec in _map_chunks(
-            partial(conductor_totals, n_terms=n_terms), missing, workers)}
-        for rec in fresh.values():
+            return [pair[0] for pair in found]
+        fresh = {}
+        for rec in _map_chunks(partial(conductor_totals, n_terms=n_terms),
+                               missing, workers):
             self.put(rec)
-        return [fresh[q] if rec is None else rec for q, rec in zip(qs, found)]
+            fresh[rec.q] = rec.total
+        return [fresh[q] if pair is None else pair[0]
+                for q, pair in zip(qs, found)]
 
     def save(self) -> None:
         if self.path is None:
@@ -385,10 +409,8 @@ class ConductorCache:
             with self._file_lock():
                 self._merge_file()
                 rows = [_CACHE_HEADER]
-                for (q, tag) in sorted(self._data):
-                    rec = self._data[(q, tag)]
-                    rows.append(
-                        f"{q},{rec.total!r},{rec.imag_residual!r},{tag}")
+                for (q, tag), (total, imag) in sorted(self._data.items()):
+                    rows.append(f"{q},{total!r},{imag!r},{tag}")
                 payload = "\n".join(rows) + "\n"
                 # a unique temp file per save; mkstemp makes it 0600, a
                 # plain write 0644. No fsync: the rows are recomputable, a
@@ -417,15 +439,14 @@ class ConductorCache:
                 return
         except FileNotFoundError:
             return
-        records, self._stamp = self._read_file()
-        for rec in records:
-            mine = self._data.setdefault((rec.q, rec.tag), rec)
-            if _bits(mine) != _bits(rec):
+        rows, self._stamp = self._read_file()
+        for (q, tag), pair in rows.items():
+            mine = self._data.setdefault((q, tag), pair)
+            if _bits(mine) != _bits(pair):
                 raise CacheCorruption(
-                    f"{self.path}: conductor {rec.q} tag {rec.tag} has total "
-                    f"{rec.total!r}, imag_residual {rec.imag_residual!r} in "
-                    f"the file and {mine.total!r}, {mine.imag_residual!r} "
-                    "here", q=rec.q)
+                    f"{self.path}: conductor {q} tag {tag} has total "
+                    f"{pair[0]!r}, imag_residual {pair[1]!r} in the file and "
+                    f"{mine[0]!r}, {mine[1]!r} here", q=q)
 
     @contextlib.contextmanager
     def _file_lock(self):
@@ -454,10 +475,11 @@ class ConductorCache:
                 os.close(fd)    # releases the lock
 
     def verify(self) -> list[ConductorTotal]:
-        """Re-parse the backing file, raising CacheCorruption on any defect."""
-        if self.path is None or not self.path.exists():
+        """Re-parse the backing file, raising CacheCorruption on any defect;
+        no file gives no rows."""
+        if self.path is None:
             return []
-        return self._read_file()[0]
+        return _totals(self._read_file()[0].items())
 
     def clear(self) -> None:
         with self._lock:
@@ -477,8 +499,14 @@ def _file_stamp(st: os.stat_result) -> tuple[int, int, int]:
     return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
-def _bits(rec: ConductorTotal) -> tuple[str, str]:
-    return (rec.total.hex(), rec.imag_residual.hex())
+def _bits(pair: tuple[float, float]) -> tuple[str, str]:
+    return (pair[0].hex(), pair[1].hex())
+
+
+def _totals(rows) -> list[ConductorTotal]:
+    """The ConductorTotal of each ((q, tag), (total, imag_residual)) row."""
+    return [ConductorTotal(q, total, imag, tag)
+            for (q, tag), (total, imag) in rows]
 
 
 def gamma_q(q: int, cache: ConductorCache | None = None,
@@ -489,8 +517,7 @@ def gamma_q(q: int, cache: ConductorCache | None = None,
     if cache is None:
         cache = ConductorCache()
     # the conductors d > 1 of q are its divisors
-    terms = [EULER_GAMMA] + [rec.total for rec in cache.fill(divisors(q)[1:],
-                                                              n_terms)]
+    terms = [EULER_GAMMA] + cache.fill(divisors(q)[1:], n_terms)
     # one unit per phi(d) over the conductors d, and those phi(d) add up
     # to q - 1
     return GammaQ(q=q, value=math.fsum(terms),

@@ -109,17 +109,17 @@ def scan_range(block: int, cache: ConductorCache | None = None,
     conductors = range(2, top + 1)
     totals = cache.fill(conductors, n_terms, workers)
     terms = [[EULER_GAMMA] for _ in range(block)]    # terms[q - block - 1]
-    for d, rec in zip(conductors, totals):
+    for d, total in zip(conductors, totals):
         # the multiples of d in (block, top], from the first above block
         for i in range(d - 1 - block % d, block, d):
-            terms[i].append(rec.total)
+            terms[i].append(total)
     out = []
     for q, parts in zip(range(block + 1, top + 1), terms):
         val = math.fsum(parts)
         lq = math.log(q)
         ratio = val / lq if q >= 3 else math.nan
-        out.append(ScanRecord(q=q, gamma_q=val, log_q=lq, ratio=ratio,
-                              abs_dev=abs(val - lq)))
+        # q, gamma_q, log_q, ratio, abs_dev
+        out.append(ScanRecord(q, val, lq, ratio, abs(val - lq)))
     return out
 
 

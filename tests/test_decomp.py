@@ -295,7 +295,9 @@ def test_proxy_defect_vs_full_pass_parts(shared_cache, tables_big, x):
     # one residue pass against the fsum of the per-divisor parts
     for q in (12, 45, 997, 1810, 2310, 3600, 4620):
         conductors = divisors(q)[1:]
-        parts = [rec.total for rec in shared_cache.fill(conductors)]
+        parts = shared_cache.fill(conductors)
+        assert [t.hex() for t in parts] == [shared_cache.get(d).total.hex()
+                                            for d in conductors], q
         parts += [_primitive_phi_sum_full_pass(d, x, tables_big)
                   for d in conductors]
         got = proxy_defect(q, x, tables_big, shared_cache)

@@ -68,8 +68,8 @@ class _ZeroTotals:
     # stands in for the cache: every conductor total is 0, so gamma_q
     # costs no special-function work
     def fill(self, qs, n_terms):
-        return [ConductorTotal(q=q, total=0.0, imag_residual=0.0,
-                               tag=precision_tag(n_terms)) for q in qs]
+        precision_tag(n_terms)
+        return [0.0 for q in qs]
 
 
 def test_err_estimate_matches_totient_sum():
@@ -231,24 +231,33 @@ def test_cache_save_is_sorted_and_lf(tmp_path):
     assert lines[2].startswith("4,")
 
 
-def test_cache_fill_reuses(tmp_path):
+def _refuse_totals(*args, **kwargs):
+    raise AssertionError("conductor_totals called on a warm cache")
+
+
+def test_cache_fill_reuses(tmp_path, monkeypatch):
     path = tmp_path / "conductors.csv"
     cache = ConductorCache(path)
     (first,) = cache.fill([5])
+    rec = cache.get(5)
+    assert first.hex() == rec.total.hex()
+    monkeypatch.setattr(ekgamma, "conductor_totals", _refuse_totals)
     (again,) = cache.fill([5])
     assert first is again
     cache.save()
     reloaded = ConductorCache(path)
-    assert reloaded.get(5) == first
+    assert reloaded.get(5) == rec
+    assert reloaded.fill([5])[0].hex() == first.hex()
 
 
 def test_cache_distinguishes_precision_tags(tmp_path):
     cache = ConductorCache(tmp_path / "c.csv")
     (a,) = cache.fill([7], n_terms=30)
     (b,) = cache.fill([7], n_terms=50)
-    assert a.tag == "em30" and b.tag == "em50"
-    assert cache.get(7, n_terms=30) == a
-    assert cache.get(7, n_terms=50) == b
+    rec_a, rec_b = cache.get(7, n_terms=30), cache.get(7, n_terms=50)
+    assert rec_a.tag == "em30" and rec_b.tag == "em50"
+    assert a.hex() == rec_a.total.hex()
+    assert b.hex() == rec_b.total.hex()
     assert len(cache) == 2
 
 
@@ -275,6 +284,119 @@ def test_cache_corruption_detected(tmp_path, mangle, needs_q):
         ConductorCache(path)
     if needs_q:
         assert info.value.q == 4
+
+
+def test_cache_reports_the_first_defect(tmp_path):
+    path = tmp_path / "conductors.csv"
+    path.write_text(f"{_CACHE_HEADER}\n3,0.5,0.0,em16\n4,nan,0.0,em16\n"
+                    "5,0.5,0.0,em16\n6,0.5,0.0\n", encoding="ascii")
+    with pytest.raises(CacheCorruption) as info:
+        ConductorCache(path)
+    assert str(info.value) == f"{path}:3: non-finite value at conductor 4"
+    assert info.value.q == 4
+
+
+# rows sorted by (q, tag): -0.0, subnormals, 1e308, negative residuals and
+# two tags per conductor, each written in its repr
+_EDGE_ROWS = ["3,-0.0,0.0,em16", "3,0.3681816159960602,1.2e-17,em50",
+              "4,5e-324,-3.4e-18,em16", "4,1e+308,2.5e-310,em50",
+              "7,-1.7976931348623157e+308,-0.0,em16"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_cache_edge_rows_round_trip_bit_exact(tmp_path, newline):
+    canonical = "\n".join([_CACHE_HEADER, *_EDGE_ROWS]) + "\n"
+    path = tmp_path / "blank.csv"
+    # blank lines between rows and at the end are skipped, and CRLF reads
+    # as LF
+    path.write_bytes(newline.join([_CACHE_HEADER, *_EDGE_ROWS[:2], "",
+                                   *_EDGE_ROWS[2:], "", ""]).encode("ascii")
+                     + newline.encode("ascii"))
+    loaded = ConductorCache(path)
+    copy = ConductorCache(tmp_path / "copy.csv", load=False)
+    for rec in loaded.records():
+        copy.put(rec)
+    copy.save()
+    assert copy.path.read_bytes() == canonical.encode("ascii")
+    reloaded = ConductorCache(copy.path)
+
+    def bits(recs):
+        return [(r.q, r.total.hex(), r.imag_residual.hex(), r.tag)
+                for r in recs]
+    want = []
+    for row in _EDGE_ROWS:
+        q, total, imag, tag = row.split(",")
+        want.append((int(q), float(total).hex(), float(imag).hex(), tag))
+    for cache in (loaded, reloaded):
+        assert bits(cache.records()) == want
+        assert bits(cache.verify()) == want
+        assert bits(cache.get(q, int(tag[2:])) for q, _, _, tag in want) \
+            == want
+
+
+@pytest.mark.parametrize("defect", ["", "4,nan,0.0,em16\n"])
+def test_cache_non_ascii_byte_reported_at_its_file_offset(tmp_path, defect):
+    # the whole file is checked before any row, so a row defect does not
+    # hide the byte, and the offset is not one within a decoding chunk
+    rows = "".join(f"{q},0.5,0.0,em16\n" for q in range(5, 2000))
+    data = f"{_CACHE_HEADER}\n3,0.5,0.0,em16\n{defect}{rows}".encode("ascii")
+    at = 15000
+    path = tmp_path / "conductors.csv"
+    path.write_bytes(data[:at] + b"\xc3" + data[at + 1:])
+    with pytest.raises(UnicodeDecodeError) as info:
+        ConductorCache(path)
+    assert info.value.start == at
+
+
+def test_cache_cleared_before_the_open_reads_as_empty(tmp_path, capsys,
+                                                      monkeypatch):
+    # another process's `cache clear` removes the file after any check for
+    # it and before the open: the run sees an empty cache
+    cache_dir = tmp_path / "cache"
+    path = ConductorCache.default_path(cache_dir)
+    cache = ConductorCache(path)
+    cache.put(_sample_records()[0])
+    cache.save()
+    real_open = open
+
+    def racing_open(file, *args, **kwargs):
+        if Path(file) == path:
+            ConductorCache(path, load=False).clear()
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(ekgamma, "open", racing_open, raising=False)
+    assert len(ConductorCache(path)) == 0
+    cache.save()        # writes the file again, for the next open to remove
+    assert ConductorCache(path, load=False).verify() == []
+    cache.save()
+    assert entry(["scan", "6", "--cache-dir", str(cache_dir)]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert [r.q for r in ConductorCache(path).records()] == list(range(2, 13))
+
+
+def test_warm_load_and_scan_build_no_conductor_totals(tmp_path, monkeypatch):
+    # a structural guard on the warm path: the cache keeps float pairs,
+    # and neither its load nor a warm scan_range builds a row object
+    path = tmp_path / "conductors.csv"
+    writer = ConductorCache(path)
+    for q in range(2, 4097):
+        writer.put(ConductorTotal(q, 1.0 / q, 0.0, precision_tag(16)))
+    writer.save()
+    built = []
+    init = ConductorTotal.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["q"])
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ConductorTotal, "__init__", counted)
+    monkeypatch.setattr(ekgamma, "conductor_totals", _refuse_totals)
+    cache = ConductorCache(path)
+    assert len(cache) == 4095
+    records = scan_range(2048, cache, n_terms=16)
+    assert len(records) == 2048
+    assert built == []
+    assert cache.get(4096, 16).total == 1.0 / 4096
+    assert built == [4096]      # the wrapper sees a row object being built
 
 
 def test_cache_rejects_non_finite(tmp_path):

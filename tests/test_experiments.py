@@ -155,8 +155,9 @@ def test_fill_pooled_stores_the_serial_rows():
     def bits(recs):
         return [(r.q, r.total.hex(), r.imag_residual.hex(), r.tag)
                 for r in recs]
-    assert bits(pooled.fill(qs, workers=2)) == bits(serial.fill(qs,
-                                                                workers=1))
+    got = [t.hex() for t in pooled.fill(qs, workers=2)]
+    want = [t.hex() for t in serial.fill(qs, workers=1)]
+    assert got == want == [serial.get(q).total.hex() for q in qs]
     assert bits(pooled.records()) == bits(serial.records())
 
 
