@@ -32,7 +32,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-DEFAULT_SIEVE_BOUND = 1_000_000
+#: decompose without --x uses x = max(1e5, q^2), capped here.
+DEFAULT_X_CAP = 1_000_000
 RESIDUAL_TOLERANCE = 1e-6
 DEFAULT_EPSILON = 0.5
 DEFAULT_SPLIT_EXPONENT = 2.0
@@ -61,6 +62,14 @@ def _workers(args) -> int:
     return workers
 
 
+def _check_capacity(x: float) -> None:
+    """x past the table capacity is a usage error: the commands sieve their
+    tables up to ceil(x), and build_tables would raise CapacityError."""
+    if x > MAX_TABLE_BOUND:
+        raise ValueError(
+            f"x={_g(x)} exceeds table capacity {MAX_TABLE_BOUND}")
+
+
 def cmd_gamma(args) -> int:
     if args.q < 1:
         raise ValueError(f"q must be >= 1, got {args.q}")
@@ -82,14 +91,11 @@ def cmd_decompose(args) -> int:
     q = args.q
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    bound = args.bound if args.bound is not None else DEFAULT_SIEVE_BOUND
-    if not 2 <= bound <= MAX_TABLE_BOUND:
-        raise ValueError(
-            f"bound must lie in [2, {MAX_TABLE_BOUND}], got {bound}")
-    x = args.x if args.x is not None else float(min(max(10**5, q * q), bound))
-    if not (q <= x and 1 < x <= bound):
-        raise ValueError(f"need q <= x <= bound and x > 1, got q={q}, x={x}, "
-                         f"bound={bound}")
+    x = (args.x if args.x is not None
+         else float(min(max(10**5, q * q), DEFAULT_X_CAP)))
+    if not (q <= x and 1 < x):
+        raise ValueError(f"need q <= x and x > 1, got q={q}, x={x}")
+    _check_capacity(x)
     e = DEFAULT_SPLIT_EXPONENT if args.e is None else args.e
     if not (math.isfinite(e) and e > 0):
         raise ValueError(
@@ -101,12 +107,12 @@ def cmd_decompose(args) -> int:
     if x_split > x and args.e is not None:
         raise ValueError(f"x_split = q^e = {_g(x_split)} exceeds x = {_g(x)}")
     x_split = float(min(max(q, x_split), x))    # the default clamps to x
-    tables = build_tables(int(bound))
+    tables = build_tables(math.ceil(x))
     cache = _open_cache(args.cache_dir)
     report = decompose(q, x, x_split, tables, cache, args.em_terms)
     cache.save()
     print(f"# ekconst decompose q={q} x={_g(x)} x_split={_g(x_split)} "
-          f"bound={bound} em_terms={args.em_terms} "
+          f"em_terms={args.em_terms} "
           f"residual_tolerance={_g(RESIDUAL_TOLERANCE)}")
     for name, value in asdict(report).items():
         print(f"{name} = {value if isinstance(value, int) else _g(value)}")
@@ -149,17 +155,11 @@ def cmd_probe(args) -> int:
         raise ValueError(f"x must be finite and >= 2, got {x}")
     if not 0.0 < args.epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {args.epsilon}")
-    bound = (args.bound if args.bound is not None
-             else max(DEFAULT_SIEVE_BOUND, math.ceil(x)))
-    if bound > MAX_TABLE_BOUND:
-        raise ValueError(
-            f"bound {bound} exceeds table capacity {MAX_TABLE_BOUND}")
-    if x > bound:
-        raise ValueError(f"x={_g(x)} exceeds sieve bound {bound}")
+    _check_capacity(x)
     if args.per_m_out is not None and args.out is None:
         raise ValueError("--per-m-out requires --out")
     workers = _workers(args)
-    tables = build_tables(int(bound))
+    tables = build_tables(math.ceil(x))
     probe = eh_probe(x, args.epsilon, tables, args.prime_powers, workers)
     checked = min(probe.m_max, SELF_CHECK_MODULI)
     tolerance = SELF_CHECK_TOL * max(1.0, x / SELF_CHECK_BASE_X)
@@ -171,7 +171,7 @@ def cmd_probe(args) -> int:
         # written before any header line, so a failed write prints nothing
         emit(probe, args.format, args.out, per_m_path=args.per_m_out)
     print(f"# ekconst probe x={_g(x)} epsilon={_g(args.epsilon)} "
-          f"bound={bound} prime_powers={args.prime_powers} "
+          f"prime_powers={args.prime_powers} "
           f"workers={workers} format={args.format}")
     print(f"# m_max={probe.m_max} total={_g(probe.total)} "
           f"selfcheck={'ok' if ok else 'FAILED'} checked_m={checked} "
@@ -259,14 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("q", type=int)
     p_dec.add_argument("--x", type=float, default=None,
                        help="prime-sum cutoff (default max(1e5, q^2), "
-                            "capped at the sieve bound)")
+                            f"capped at {DEFAULT_X_CAP})")
     p_dec.add_argument("--e", type=float, default=None,
                        help="window split exponent: x_split = q^e clamped "
                             f"to [q, x] (default {DEFAULT_SPLIT_EXPONENT:g}; "
                             "an explicit value with q^e > x is rejected)")
-    p_dec.add_argument("--bound", type=int, default=None,
-                       help=f"sieve table bound (default "
-                            f"{DEFAULT_SIEVE_BOUND})")
     _add_cache_options(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -295,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="csv")
     p_probe.add_argument("--prime-powers", action="store_true",
                          help="weight prime powers instead of primes")
-    p_probe.add_argument("--bound", type=int, default=None,
-                         help="sieve table bound (default: "
-                              f"max({DEFAULT_SIEVE_BOUND}, x))")
     _add_workers_option(p_probe, "level")
     p_probe.set_defaults(func=cmd_probe)
 

@@ -72,8 +72,8 @@ import numpy as np
 
 from .accum import fsum_array
 from .ekgamma import ConductorCache, gamma_q
-from .sieve import (ArithmeticTables, coprime_mask, divisors, factorize,
-                    mobius, residues, totient)
+from .sieve import (ArithmeticTables, _lambda_of, _prefix, coprime_mask,
+                    divisors, factorize, mobius, residues, totient)
 from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
 
 
@@ -128,17 +128,6 @@ def _remainder_sum(q: int, x: float, pp: np.ndarray,
     return (totient(q) * prog - full) / (x - 1.0)
 
 
-def _prime_powers_upto(tables: ArithmeticTables, limit: float):
-    k = int(np.searchsorted(tables.prime_powers, math.floor(limit),
-                            side="right"))
-    return tables.prime_powers[:k], tables.prime_power_logs[:k]
-
-
-def _lambda_at(tables: ArithmeticTables, n: int) -> float:
-    """Lambda(n) for a prime power n <= tables.bound, read from the table."""
-    return tables.prime_power_logs[np.searchsorted(tables.prime_powers, n)]
-
-
 def mobius_layer_sum(d: int, p: int, q: int) -> int:
     """Sum of mu(m/d) over moduli m with d | m | q and p not dividing m.
 
@@ -168,39 +157,40 @@ def layer_weight(p: int, v: int, q: int) -> int:
     return totient(r)
 
 
+def _ramified_powers(q: int, x: float, tables: ArithmeticTables):
+    """(p, v, n, Lambda(n)) for the prime powers n = p^v <= x with p | q."""
+    for p, _ in factorize(q):
+        n, v = p, 1
+        while n <= x:
+            yield p, v, n, _lambda_of(tables, n)
+            n, v = n * p, v + 1
+
+
 def conductor_correction(q: int, x: float, tables: ArithmeticTables) -> float:
     """Cost of reading every primitive character mod q instead of mod its
     conductor; nonpositive by construction, and +0.0 when no layer weight
     is nonzero. The weight at p^v is layer_weight(p, v, q)."""
     _check_args(q, x, tables)
     terms = []
-    for p, _ in factorize(q):
-        n, v = p, 1
-        while n <= x:
-            w = layer_weight(p, v, q)
-            if w:
-                terms.append(w * _lambda_at(tables, n) * (x - n) / n)
-            n, v = n * p, v + 1
+    for p, v, n, lam in _ramified_powers(q, x, tables):
+        w = layer_weight(p, v, q)
+        if w:
+            terms.append(w * lam * (x - n) / n)
     return 0.0 - math.fsum(terms) / (x - 1.0)
 
 
 def ramified_term(q: int, x: float, tables: ArithmeticTables) -> float:
     """Smoothed average over prime powers sharing a factor with q; >= 0."""
     _check_args(q, x, tables)
-    terms = []
-    for p, _ in factorize(q):
-        n = p
-        while n <= x:
-            terms.append(_lambda_at(tables, n) * (x - n) / n)
-            n *= p
-    return math.fsum(terms) / (x - 1.0)
+    return math.fsum(lam * (x - n) / n for _, _, n, lam
+                     in _ramified_powers(q, x, tables)) / (x - 1.0)
 
 
 def progression_term(q: int, x: float, tables: ArithmeticTables) -> float:
     """(1/(x-1)) * [phi(q) sum_{n <= x, n = 1 mod q} Lambda(n) log(x/n)
     - sum_{n <= x} Lambda(n) log(x/n)], evaluated exactly."""
     _check_args(q, x, tables)
-    pp, lg = _prime_powers_upto(tables, x)
+    pp, lg = _prefix(tables, x)
     return _remainder_sum(q, x, pp, lg * np.log(x / pp))
 
 
@@ -226,7 +216,7 @@ def window_term(q: int, x: float, x_split: float, tables: ArithmeticTables,
         raise ValueError(f"part must be 1, 2 or 3, got {part}")
     if hi <= lo:
         return 0.0
-    pp, lg = _prime_powers_upto(tables, hi)
+    pp, lg = _prefix(tables, hi)
     if pp.size == 0:
         return 0.0
     a = np.maximum(pp.astype(np.float64), lo)
@@ -253,7 +243,7 @@ def _weighted_prime_sum(weights: np.ndarray, x: float,
                         tables: ArithmeticTables) -> float:
     """Exactly rounded sum of Lambda(n) (x - n)/n * weights[n mod m] over
     the prime powers n <= x, where m = len(weights)."""
-    pp, lg = _prime_powers_upto(tables, x)
+    pp, lg = _prefix(tables, x)
     w = weights[residues(pp, weights.size)]
     nz = w != 0
     n = pp[nz]

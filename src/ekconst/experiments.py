@@ -9,7 +9,7 @@ worst prime-counting error over the coprime residue classes mod m.
 The self-check residue_sum_checks compares the probe's class sums with an
 exact sum of Lambda over the prime powers they leave out of psi(x). Each
 of the two reads psi(x) and its weights (_weights_upto, slices of the
-prime-power table) from the tables itself.
+prime-power table from sieve._prefix) from the tables itself.
 
 Emission is deliberately dumb: fixed headers, fixed significant digits,
 LF line endings, records in ascending order, so identical inputs produce
@@ -27,8 +27,8 @@ import numpy as np
 
 from .accum import fsum_array
 from .ekgamma import ConductorCache, _map_chunks
-from .sieve import (ArithmeticTables, _higher_powers, coprime_mask,
-                    factorize, psi, residues)
+from .sieve import (ArithmeticTables, _higher_powers, _lambda_of, _prefix,
+                    coprime_mask, factorize, psi, residues)
 from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
 
 SCAN_HEADER = "q,gamma_q,log_q,ratio,abs_dev"
@@ -197,10 +197,9 @@ def _weights_upto(tables: ArithmeticTables, x: float, prime_powers: bool):
     either way.
     """
     xi = math.floor(x)
-    k = int(np.searchsorted(tables.prime_powers, xi, side="right"))
-    arr, w = tables.prime_powers[:k], tables.prime_power_logs[:k]
+    arr, w = _prefix(tables, x)
     if not prime_powers:
-        keep = np.ones(k, dtype=bool)
+        keep = np.ones(arr.size, dtype=bool)
         keep[np.searchsorted(arr, _higher_upto(tables, xi))] = False
         arr, w = arr[keep], w[keep]
         primes = tables.primes[:np.searchsorted(tables.primes, xi,
@@ -345,8 +344,8 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
 
     The right side uses no psi(x) and no pass over the weights: it is minus
     one exact fsum of the Lambda(n) that psi(x) has and the coprime weights
-    lack, a few hundred values read from tables.prime_power_logs at the
-    prime factors of m and the higher powers of the primes <= sqrt(x).
+    lack, a few hundred values read from the tables (sieve._lambda_of) at
+    the prime factors of m and the higher powers of the primes <= sqrt(x).
     """
     levels = list(levels)
     if any(m < 1 for m in levels):
@@ -371,9 +370,7 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
         # of the p | m on the prime-powers base
         removed = [p for p, _ in factorize(m)] + [
             pv for pv in higher if not prime_powers or math.gcd(pv, m) > 1]
-        logs = tables.prime_power_logs[
-            np.searchsorted(tables.prime_powers, removed)]
-        out.append((lhs[m], -fsum_array(logs)))
+        out.append((lhs[m], -fsum_array(_lambda_of(tables, removed))))
     return out
 
 

@@ -4,10 +4,12 @@ One segmented sieve yields the primes up to a bound: 2, then the odd
 primes a segment at a time, with one flag per odd number. build_tables()
 keeps them as compact ascending arrays: the primes, the prime powers, and
 log p at each prime power p^v (the von Mangoldt weight). These are what
-every downstream Lambda-weighted sum iterates over. The streaming
-variants of psi and psi_mod run the same sieve but never keep more than one
-segment, so they reach beyond the table capacity; they add the exact sums of
-the segments as fixed-point integers (accum.fixed_sum) and round once.
+every downstream Lambda-weighted sum iterates over: _prefix gives the prime
+powers up to x with their weights, and _lambda_of reads Lambda at given
+prime powers. The streaming variants of psi and psi_mod run the same
+sieve but never keep more than one segment, so they reach beyond the table
+capacity; they add the exact sums of the segments as fixed-point integers
+(accum.fixed_sum) and round once.
 
 Everything that needs the factorization of a single integer (divisors,
 totient, Moebius, the prime factors of a modulus) goes through factorize().
@@ -79,17 +81,31 @@ def build_tables(bound: int) -> ArithmeticTables:
                             prime_power_logs=pp_logs)
 
 
-def _check_x(tables: ArithmeticTables, x: float) -> int:
+def _check_x(tables: ArithmeticTables, x: float) -> None:
     if not 1 <= x <= tables.bound:
         raise ValueError(f"x must satisfy 1 <= x <= {tables.bound}, got {x}")
-    return int(math.floor(x))
+
+
+def _prefix(tables: ArithmeticTables,
+            x: float) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers n <= x and Lambda(n) at them: the leading slices of
+    tables.prime_powers and tables.prime_power_logs, views, not copies.
+    The one search of the tables for the prime powers up to x."""
+    count = int(np.searchsorted(tables.prime_powers, math.floor(x),
+                                side="right"))
+    return tables.prime_powers[:count], tables.prime_power_logs[:count]
+
+
+def _lambda_of(tables: ArithmeticTables, n):
+    """Lambda(n) read from the tables, for a prime power n <= tables.bound
+    or an array of them."""
+    return tables.prime_power_logs[np.searchsorted(tables.prime_powers, n)]
 
 
 def psi(tables: ArithmeticTables, x: float) -> float:
     """Chebyshev psi(x) = sum of Lambda(n) over n <= x, exactly summed."""
-    xf = _check_x(tables, x)
-    count = int(np.searchsorted(tables.prime_powers, xf, side="right"))
-    return fsum_array(tables.prime_power_logs[:count])
+    _check_x(tables, x)
+    return fsum_array(_prefix(tables, x)[1])
 
 
 def _check_class(q: int, a: int) -> None:
@@ -103,11 +119,9 @@ def _check_class(q: int, a: int) -> None:
 def psi_mod(tables: ArithmeticTables, x: float, q: int, a: int) -> float:
     """psi(x; q, a) = sum of Lambda(n) over n <= x with n congruent to a mod q."""
     _check_class(q, a)
-    xf = _check_x(tables, x)
-    count = int(np.searchsorted(tables.prime_powers, xf, side="right"))
-    pp = tables.prime_powers[:count]
-    sel = tables.prime_power_logs[:count][residues(pp, q) == a]
-    return fsum_array(sel)
+    _check_x(tables, x)
+    pp, logs = _prefix(tables, x)
+    return fsum_array(logs[residues(pp, q) == a])
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

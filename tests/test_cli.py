@@ -4,15 +4,19 @@ Everything drives entry() in-process with an isolated --cache-dir, matching
 exactly what the console script would do; one case runs `python -m ekconst`
 in a subprocess.
 """
+import argparse
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ekconst import cli, experiments, parse_scan_csv
+from ekconst import (build_tables, cli, decompose, experiments,
+                     parse_scan_csv)
 from ekconst.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                          entry)
 
@@ -84,7 +88,7 @@ def test_gamma_persists_cache(tmp_path, capsys):
 
 def test_decompose_identity_ok(tmp_path, capsys):
     code, out, _ = _run(capsys, "decompose", "12", "--x", "5000",
-                        "--bound", "100000", "--cache-dir", str(tmp_path))
+                        "--cache-dir", str(tmp_path))
     assert code == EXIT_OK
     assert "identity_check = ok" in out
     assert abs(float(_value(out, "residual"))) <= 1e-6
@@ -95,14 +99,14 @@ def test_decompose_identity_ok(tmp_path, capsys):
 def test_decompose_zero_conductor_correction_is_unsigned(tmp_path, capsys):
     # 115 = 5 * 23 has no nonzero layer weight: the sum is empty
     code, out, _ = _run(capsys, "decompose", "115", "--x", "1e5",
-                        "--bound", "100000", "--cache-dir", str(tmp_path))
+                        "--cache-dir", str(tmp_path))
     assert code == EXIT_OK
     assert _value(out, "conductor_correction") == "0"
 
 
 def test_decompose_explicit_split(tmp_path, capsys):
     code, out, _ = _run(capsys, "decompose", "5", "--x", "1000", "--e", "2",
-                        "--bound", "100000", "--cache-dir", str(tmp_path))
+                        "--cache-dir", str(tmp_path))
     assert code == EXIT_OK
     assert _value(out, "x_split") == "25"
 
@@ -110,7 +114,7 @@ def test_decompose_explicit_split(tmp_path, capsys):
 def test_decompose_default_split_is_clamped(tmp_path, capsys):
     # q^2 = 12^2 > x = 100, so the default split clamps to x
     code, out, _ = _run(capsys, "decompose", "12", "--x", "100",
-                        "--bound", "100000", "--cache-dir", str(tmp_path))
+                        "--cache-dir", str(tmp_path))
     assert code == EXIT_OK
     assert _value(out, "x_split") == "100"
 
@@ -121,8 +125,8 @@ def test_decompose_default_split_reads_the_constant(tmp_path, capsys,
                                                     want):
     # no --e: x_split = q^DEFAULT_SPLIT_EXPONENT, as the same --e gives
     monkeypatch.setattr(cli, "DEFAULT_SPLIT_EXPONENT", default)
-    outs = [_run(capsys, "decompose", "8", "--x", "1000", *e, "--bound",
-                 "100000", "--cache-dir", str(tmp_path))[1]
+    outs = [_run(capsys, "decompose", "8", "--x", "1000", *e,
+                 "--cache-dir", str(tmp_path))[1]
             for e in ((), ("--e", str(default)))]
     assert _value(outs[0], "x_split") == want
     assert outs[0] == outs[1]
@@ -130,7 +134,7 @@ def test_decompose_default_split_reads_the_constant(tmp_path, capsys,
 
 def test_decompose_oversized_explicit_split_rejected(tmp_path, capsys):
     code, _, err = _run(capsys, "decompose", "3", "--x", "100", "--e", "10",
-                        "--bound", "100000", "--cache-dir", str(tmp_path))
+                        "--cache-dir", str(tmp_path))
     assert code == EXIT_USAGE
     assert "exceeds" in err
 
@@ -152,10 +156,41 @@ def test_decompose_x_below_q_rejected(tmp_path, capsys):
     assert "error" in err
 
 
-def test_decompose_bound_over_capacity_rejected(tmp_path, capsys):
-    code, _, _ = _run(capsys, "decompose", "3", "--bound", str(10 ** 9),
-                      "--cache-dir", str(tmp_path))
-    assert code == EXIT_USAGE
+def test_decompose_sieves_up_to_x(tmp_path, capsys, shared_cache):
+    # the tables follow x, so an x past the 1e6 default cap needs no option
+    code, out, _ = _run(capsys, "decompose", "45", "--x", "2e6",
+                        "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    report = decompose(45, 2e6, 2025.0, build_tables(2_000_000),
+                       shared_cache)
+    for name, value in dataclasses.asdict(report).items():
+        want = str(value) if isinstance(value, int) else experiments._g(value)
+        assert _value(out, name) == want, name
+
+
+_SIEVED = [
+    (("decompose", "12", "--x", "1000"), 1000),
+    (("decompose", "12", "--x", "12345.6"), 12346),
+    (("decompose", "12"), 100_000),
+    (("probe", "1000.5", "--workers", "1"), 1001),
+]
+
+
+@pytest.mark.parametrize("argv,bound", _SIEVED,
+                         ids=[" ".join(argv) for argv, _ in _SIEVED])
+def test_tables_are_sieved_up_to_x(tmp_path, capsys, monkeypatch, argv,
+                                   bound):
+    # one table, at ceil(x): the smallest bound the library accepts
+    built = []
+
+    def recording(n):
+        built.append(n)
+        return build_tables(n)
+
+    monkeypatch.setattr(cli, "build_tables", recording)
+    monkeypatch.setenv("EKCONST_CACHE_DIR", str(tmp_path))
+    assert _run(capsys, *argv)[0] == EXIT_OK
+    assert built == [bound]
 
 
 # ------------------------------------------------------------------- scan
@@ -216,7 +251,7 @@ def test_probe_selfcheck_ok(tmp_path, capsys):
     out_file = tmp_path / "probe.csv"
     per_m = tmp_path / "per_m.csv"
     code, out, _ = _run(capsys, "probe", "1000", "--epsilon", "0.5",
-                        "--bound", "10000", "--out", str(out_file),
+                        "--out", str(out_file),
                         "--per-m-out", str(per_m))
     assert code == EXIT_OK
     assert "selfcheck=ok" in out
@@ -226,7 +261,7 @@ def test_probe_selfcheck_ok(tmp_path, capsys):
 
 def test_probe_stdout_and_prime_powers(capsys, tmp_path):
     code, out, _ = _run(capsys, "probe", "500", "--epsilon", "0.6",
-                        "--bound", "10000", "--prime-powers")
+                        "--prime-powers")
     assert code == EXIT_OK
     assert "prime_powers=True" in out
     assert "x,epsilon,m_max,total" in out
@@ -239,8 +274,6 @@ def test_probe_usage_errors(tmp_path, capsys):
     assert code == EXIT_USAGE
     code, _, _ = _run(capsys, "probe", "1000", "--per-m-out",
                       str(tmp_path / "x.csv"))
-    assert code == EXIT_USAGE
-    code, _, _ = _run(capsys, "probe", "1000", "--bound", "500")
     assert code == EXIT_USAGE
     code, _, err = _run(capsys, "probe", "1000", "--workers", "0")
     assert code == EXIT_USAGE
@@ -273,7 +306,7 @@ def test_negative_float_literal_is_named(capsys, argv, shown):
 
 
 def test_probe_workers_default_is_cpu_count(capsys):
-    code, out, _ = _run(capsys, "probe", "1000", "--bound", "10000")
+    code, out, _ = _run(capsys, "probe", "1000")
     assert code == EXIT_OK
     header = out.splitlines()[0]
     assert header.startswith("# ekconst probe ")
@@ -400,14 +433,10 @@ _ERRORS = [
     (("gamma", "4", "--em-terms", "5"), None, EXIT_USAGE,
      "n_terms must be >= 10, got 5"),
     (("decompose", "0"), None, EXIT_USAGE, "q must be >= 1, got 0"),
-    (("decompose", "5", "--bound", "1"), None, EXIT_USAGE,
-     "bound must lie in [2, 100000000], got 1"),
-    (("decompose", "5", "--bound", "200000000"), None, EXIT_USAGE,
-     "bound must lie in [2, 100000000], got 200000000"),
     (("decompose", "3", "--x", "2"), None, EXIT_USAGE,
-     "need q <= x <= bound and x > 1, got q=3, x=2.0, bound=1000000"),
-    (("decompose", "5", "--x", "2e6"), None, EXIT_USAGE,
-     "need q <= x <= bound and x > 1, got q=5, x=2000000.0, bound=1000000"),
+     "need q <= x and x > 1, got q=3, x=2.0"),
+    (("decompose", "5", "--x", "2e8"), None, EXIT_USAGE,
+     "x=200000000 exceeds table capacity 100000000"),
     (("decompose", "5", "--e", "0"), None, EXIT_USAGE,
      "split exponent must be finite and positive, got 0.0"),
     (("decompose", "5", "--e", "nan"), None, EXIT_USAGE,
@@ -431,9 +460,7 @@ _ERRORS = [
     (("probe", "1000", "--epsilon", "1"), None, EXIT_USAGE,
      "epsilon must lie in (0, 1), got 1.0"),
     (("probe", "2e8"), None, EXIT_USAGE,
-     "bound 200000000 exceeds table capacity 100000000"),
-    (("probe", "1000", "--bound", "500"), None, EXIT_USAGE,
-     "x=1000 exceeds sieve bound 500"),
+     "x=200000000 exceeds table capacity 100000000"),
     (("probe", "1000", "--per-m-out", "{tmp}/g.csv"), None, EXIT_USAGE,
      "--per-m-out requires --out"),
     (("probe", "1000", "--workers", "0"), None, EXIT_USAGE,
@@ -484,6 +511,20 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert entry(["decompose", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_readme_names_the_parser_options():
+    # every option of every subcommand is in the README, and the README
+    # names no option the parser lacks
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {option for sub in subparsers.choices.values()
+               for action in sub._actions for option in action.option_strings
+               if option not in ("-h", "--help")}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) == options
 
 
 def test_unknown_flag_exits_usage(capsys):

@@ -447,6 +447,21 @@ def test_decompose_1e6_bits_frozen(shared_cache, tables_big):
     assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_1E6_DIGEST
 
 
+@pytest.mark.parametrize("x", [1e3, 12345.6, 1e5])
+def test_decompose_does_not_depend_on_the_table_bound(shared_cache,
+                                                      tables_small, x):
+    # every term reads the prime powers up to x alone, so tables sieved to
+    # ceil(x) give the bits of tables sieved to 1e5
+    tight = build_tables(math.ceil(x))
+    for q in (1, 2, 12, 45, 115, 997):
+        x_split = float(min(q * q, x))
+        got = [[float(getattr(rep, f.name)).hex()
+                for f in dataclasses.fields(rep)]
+               for rep in (decompose(q, x, x_split, tables, shared_cache)
+                           for tables in (tight, tables_small))]
+        assert got[0] == got[1], q
+
+
 def test_decompose_validation(shared_cache, tables_small):
     with pytest.raises(ValueError):
         decompose(5, 100.0, 3.0, tables_small, shared_cache)

@@ -332,6 +332,26 @@ def test_uint32_and_int64_residues_agree(tables_small, prime_powers):
             == residue_sum_checks(levels, 1e5, tables_small, prime_powers))
 
 
+def _probe_bits(probe):
+    return (probe.x.hex(), probe.epsilon.hex(), probe.m_max,
+            probe.total.hex(), [(m, e.hex()) for m, e in probe.per_m])
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
+@pytest.mark.parametrize("x", [2, 2.5, 3.7, 1000.5, 1e5])
+def test_probe_does_not_depend_on_the_table_bound(tables_small, x,
+                                                  prime_powers):
+    # the probe and its self-check read the prime powers up to x alone, so
+    # tables sieved to ceil(x) give the bits of tables sieved to 1e5
+    tight = build_tables(math.ceil(x))
+    levels = range(1, min(50, math.floor(x)) + 1)
+    got = [(_probe_bits(eh_probe(x, 0.5, tables, prime_powers)),
+            [(lhs.hex(), rhs.hex()) for lhs, rhs
+             in residue_sum_checks(levels, x, tables, prime_powers)])
+           for tables in (tight, tables_small)]
+    assert got[0] == got[1]
+
+
 def _searched_weights(tables, x, prime_powers):
     """The residue base and weights by a search of every base element in
     the prime-power table: the route _weights_upto took before it sliced
