@@ -12,8 +12,8 @@ from .characters import (CharacterGroup, DirichletCharacter, build_group,
                          primitive_characters, principal_character)
 from .decomp import (DecompositionReport, conductor_correction, decompose,
                      gamma_q_from_prime_sums, layer_weight, mobius_layer_sum,
-                     primitive_phi_sum, progression_term, proxy_defect,
-                     ramified_term, window_term)
+                     progression_term, proxy_defect, ramified_term,
+                     window_term)
 from .ekgamma import (CacheCorruption, ConductorCache, ConductorTotal,
                       GammaQ, conductor_totals, gamma_q, l_at_one,
                       precision_tag)
@@ -25,9 +25,8 @@ from .experiments import (EhProbeRecord, MeanStatistic, RangeStatistic,
 from .sieve import (MAX_TABLE_BOUND, ArithmeticTables, CapacityError,
                     build_tables, divisors, factorize, mobius, psi, psi_mod,
                     psi_mod_stream, psi_stream, totient)
-from .stieltjes import (DEFAULT_EM_TERMS, EULER_GAMMA, PrecisionError,
-                        StieltjesPair, digamma_rational, stieltjes01,
-                        stieltjes_pair_table)
+from .stieltjes import (DEFAULT_EM_TERMS, EULER_GAMMA, StieltjesPair,
+                        digamma_rational, stieltjes01, stieltjes_pair_table)
 
 __version__ = "0.1.0"
 
@@ -36,8 +35,8 @@ __all__ = [
     "CharacterGroup", "DirichletCharacter", "build_group", "conductor_grid",
     "enumerate_characters", "primitive_characters", "principal_character",
     "DecompositionReport", "conductor_correction", "decompose",
-    "layer_weight", "mobius_layer_sum", "primitive_phi_sum",
-    "progression_term", "proxy_defect", "ramified_term", "window_term",
+    "layer_weight", "mobius_layer_sum", "progression_term", "proxy_defect",
+    "ramified_term", "window_term",
     "CacheCorruption", "ConductorCache", "ConductorTotal", "GammaQ",
     "conductor_totals", "gamma_q", "gamma_q_from_prime_sums", "l_at_one",
     "precision_tag",
@@ -48,7 +47,7 @@ __all__ = [
     "MAX_TABLE_BOUND", "ArithmeticTables", "CapacityError", "build_tables",
     "divisors", "factorize", "mobius", "psi", "psi_mod", "psi_mod_stream", "psi_stream",
     "totient",
-    "DEFAULT_EM_TERMS", "EULER_GAMMA", "PrecisionError", "StieltjesPair",
-    "digamma_rational", "stieltjes01", "stieltjes_pair_table",
+    "DEFAULT_EM_TERMS", "EULER_GAMMA", "StieltjesPair", "digamma_rational",
+    "stieltjes01", "stieltjes_pair_table",
     "__version__",
 ]

@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 from .decomp import decompose
 from .ekgamma import CacheCorruption, ConductorCache, gamma_q
-from .experiments import (_g, dyadic_mean, eh_probe, emit, render,
+from .experiments import (FORMATS, _g, dyadic_mean, eh_probe, emit, render,
                           residue_sum_checks, scan_range, theorem_statistic)
 from .sieve import MAX_TABLE_BOUND, build_tables
 from .stieltjes import DEFAULT_EM_TERMS
@@ -273,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", default=None, metavar="PATH",
                         help="output file (default: records to stdout, "
                              "summary to stderr)")
-    p_scan.add_argument("--format", choices=("csv", "json", "plotdata"),
-                        default="csv")
+    p_scan.add_argument("--format", choices=FORMATS, default="csv")
     _add_workers_option(p_scan, "conductor")
     _add_cache_options(p_scan)
     p_scan.set_defaults(func=cmd_scan)
@@ -288,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--per-m-out", dest="per_m_out", default=None,
                          metavar="PATH",
                          help="also write the per-level table (needs --out)")
-    p_probe.add_argument("--format", choices=("csv", "json", "plotdata"),
-                         default="csv")
+    p_probe.add_argument("--format", choices=FORMATS, default="csv")
     p_probe.add_argument("--prime-powers", action="store_true",
                          help="weight prime powers instead of primes")
     _add_workers_option(p_probe, "level")

@@ -56,12 +56,13 @@ x and x_split.
 
 The averages avg_chi(x) never evaluate a character: the sum of chi(n) over
 the primitive chi mod d is an integer that depends only on n mod d, so each
-conductor's averages read one integer table over the residues mod d. The
-proxy defect adds the tables of every conductor d | q, each repeated q/d
-times, into one table mod q, and reads it in a single pass over the prime
-powers with one exactly rounded sum. gamma_q_from_prime_sums, the estimate
-of gamma_q from prime sums alone, reads the same pass: it is
-gamma - (that sum).
+conductor's averages read one integer table over the residues mod d
+(_class_table). The proxy defect adds the tables of every conductor d | q,
+each repeated q/d times, into one table mod q, and reads it in a single pass
+over the prime powers with one exactly rounded sum. The per-conductor sum,
+one pass over one conductor's table, is the tests' oracle for that pass.
+gamma_q_from_prime_sums, the estimate of gamma_q from prime sums alone,
+reads the same pass: it is gamma - (that sum).
 """
 from __future__ import annotations
 
@@ -250,18 +251,6 @@ def _weighted_prime_sum(weights: np.ndarray, x: float,
     return fsum_array(lg[nz] * (x - n) / n * w[nz])
 
 
-def primitive_phi_sum(d: int, x: float, tables: ArithmeticTables) -> float:
-    """Sum of avg_chi(x) over the primitive characters mod d.
-
-    The sum of chi(n) over those characters depends only on n mod d, so it
-    is read from the integer table _class_table(d) and the whole sum is one
-    real pass over the prime powers: one residue, one gather and one exactly
-    rounded sum. d = 1 gives the plain smoothed Chebyshev average.
-    """
-    _check_args(d, x, tables)
-    return _weighted_prime_sum(_class_table(d), x, tables) / (x - 1.0)
-
-
 def _proxy_average(q: int, x: float, tables: ArithmeticTables) -> float:
     """Sum of avg_chi(x) over the primitive characters of every conductor
     d > 1 dividing q, in one residue pass.
@@ -284,8 +273,8 @@ def proxy_defect(q: int, x: float, tables: ArithmeticTables,
 
     The averages of all conductors d | q share one residue pass
     (_proxy_average), rounded once, not once per conductor, so it can differ
-    in the last bit from the exact sum of primitive_phi_sum over the
-    conductors.
+    in the last bit from the exact sum of the per-conductor sums, the tests'
+    oracle.
     """
     _check_args(q, x, tables)
     if cache is None:

@@ -180,17 +180,18 @@ def conductor_totals(qs, n_terms: int = DEFAULT_EM_TERMS
             continue
         group = build_group(q)
         if batch and points + group.phi > EM_BLOCK_POINTS:
-            _batch_totals(batch, n_terms, out)
+            _batch_totals(batch, n_terms, tag, out)
             batch, points = [], 0
         batch.append((i, group))
         points += group.phi
     if batch:
-        _batch_totals(batch, n_terms, out)
+        _batch_totals(batch, n_terms, tag, out)
     return out
 
 
-def _batch_totals(batch, n_terms: int, out: list) -> None:
-    """Totals of the (index, group) pairs of one batch, stored at out[index]."""
+def _batch_totals(batch, n_terms: int, tag: str, out: list) -> None:
+    """Totals of the (index, group) pairs of one batch, tagged tag, stored
+    at out[index]."""
     x = np.concatenate([g.unit_grid.reshape(-1) / g.modulus
                         for _, g in batch])
     g0 = np.empty_like(x)
@@ -200,7 +201,6 @@ def _batch_totals(batch, n_terms: int, out: list) -> None:
         c0, c1, _ = _em_laurent(x[part], n_terms)
         g0[part] = c0
         g1[part] = -c1
-    tag = precision_tag(n_terms)
     start = 0
     for i, group in batch:
         stop = start + group.phi

@@ -247,20 +247,19 @@ def _residue_buffers(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chain_class_sums(arr: np.ndarray, w: np.ndarray, chain,
-                      quot: np.ndarray | None = None,
-                      res: np.ndarray | None = None
+                      quot: np.ndarray, res: np.ndarray
                       ) -> list[tuple[int, np.ndarray]]:
     """(m, weight sums of the residue classes a mod m with gcd(a, m) = 1,
     ascending in a) for each level m of a chain from _chains.
 
     One residue pass buckets the weights mod chain[0], the top. The
     residues are arr - (arr // top) * top (sieve.residues), written into
-    the buffers quot and res from _residue_buffers (new arrays if omitted),
-    and bincount reads res as it is. Each lower level halves the buckets of
-    the level above, b[:m] + b[m:], since the classes r and r + m mod 2m
-    make up the class r mod m. The top's sums are a plain bincount; a folded
-    level adds the same weights in another order. coprime_mask(m) picks the
-    coprime classes by striking out the multiples of each prime factor of m.
+    the buffers quot and res from _residue_buffers, and bincount reads res
+    as it is. Each lower level halves the buckets of the level above,
+    b[:m] + b[m:], since the classes r and r + m mod 2m make up the class
+    r mod m. The top's sums are a plain bincount; a folded level adds the
+    same weights in another order. coprime_mask(m) picks the coprime classes
+    by striking out the multiples of each prime factor of m.
     """
     top = chain[0]
     buckets = np.bincount(residues(arr, top, quot, res), weights=w,

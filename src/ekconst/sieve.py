@@ -7,8 +7,9 @@ log p at each prime power p^v (the von Mangoldt weight). These are what
 every downstream Lambda-weighted sum iterates over: _prefix gives the prime
 powers up to x with their weights, and _lambda_of reads Lambda at given
 prime powers. The streaming variants of psi and psi_mod run the same
-sieve but never keep more than one segment, so they reach beyond the table
-capacity; they add the exact sums of the segments as fixed-point integers
+sieve but never keep more than one segment, so their memory stays
+O(STREAM_SEGMENT + sqrt x) and they reach beyond the table capacity; they
+add the exact sums of the segments as fixed-point integers
 (accum.fixed_sum) and round once.
 
 Everything that needs the factorization of a single integer (divisors,
@@ -254,15 +255,16 @@ def _higher_powers(base: list[int],
             pv *= p
 
 
-def _stream_core(x: float, q: int, a: int, segment: int) -> float:
-    """psi(x; q, a) from the segmented sieve: the exact sums of the logs of
-    the primes of each segment and of the higher prime powers, added as
-    fixed-point integers and rounded once."""
+def _stream_core(x: float, q: int, a: int) -> float:
+    """psi(x; q, a) from the segmented sieve, in segments of STREAM_SEGMENT
+    odd numbers: the exact sums of the logs of the primes of each segment
+    and of the higher prime powers, added as fixed-point integers and
+    rounded once."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     xi = int(math.floor(x))
     base_list = _small_primes(isqrt(xi)).tolist()
-    segments = _segment_primes(xi, base_list, segment)
+    segments = _segment_primes(xi, base_list, STREAM_SEGMENT)
     if q > 1:
         segments = (found[residues(found, q) == a] for found in segments)
     higher_logs = [logp for pv, logp in _higher_powers(base_list, xi)
@@ -274,16 +276,15 @@ def _stream_core(x: float, q: int, a: int, segment: int) -> float:
     return round_fixed(total)
 
 
-def psi_stream(x: float, *, segment: int = STREAM_SEGMENT) -> float:
-    """Chebyshev psi(x) without tables; memory stays O(segment + sqrt(x)).
-    Equal to psi(build_tables(bound), x) bit for bit: the same logs, summed
-    exactly."""
-    return _stream_core(x, 1, 0, segment)
+def psi_stream(x: float) -> float:
+    """Chebyshev psi(x) without tables; memory stays O(STREAM_SEGMENT +
+    sqrt(x)). Equal to psi(build_tables(bound), x) bit for bit: the same
+    logs, summed exactly."""
+    return _stream_core(x, 1, 0)
 
 
-def psi_mod_stream(x: float, q: int, a: int, *,
-                   segment: int = STREAM_SEGMENT) -> float:
+def psi_mod_stream(x: float, q: int, a: int) -> float:
     """psi(x; q, a) without tables, same contract as psi_mod and equal to it
-    bit for bit."""
+    bit for bit; memory stays O(STREAM_SEGMENT + sqrt(x))."""
     _check_class(q, a)
-    return _stream_core(x, q, a, segment)
+    return _stream_core(x, q, a)

@@ -69,18 +69,6 @@ _B14_OVER_14 = float(Fraction(7, 6) / 14)
 _H13 = float(Fraction(1145993, 360360))
 
 
-class PrecisionError(ArithmeticError):
-    """Requested target precision is not reachable; carries the estimate."""
-
-    def __init__(self, estimate: float, target: float) -> None:
-        super().__init__(
-            f"estimated error {estimate:.3e} exceeds target {target:.3e}; "
-            "increase n_terms"
-        )
-        self.estimate = estimate
-        self.target = target
-
-
 @dataclass(frozen=True)
 class StieltjesPair:
     a: int
@@ -238,24 +226,16 @@ def _em_laurent(x: np.ndarray, n_terms: int) -> tuple[np.ndarray, np.ndarray, fl
     return c0, c1, tail * max(1.0, _H13 + abs(math.log(umin)))
 
 
-def stieltjes01(
-    a: int,
-    q: int,
-    n_terms: int = DEFAULT_EM_TERMS,
-    *,
-    err_target: float | None = None,
-) -> StieltjesPair:
+def stieltjes01(a: int, q: int,
+                n_terms: int = DEFAULT_EM_TERMS) -> StieltjesPair:
     """gamma_0(a/q) and gamma_1(a/q) with an a-priori error estimate.
 
-    Preconditions: a >= 1, q >= 1, n_terms >= 10. If err_target is given and
-    the estimate exceeds it, PrecisionError is raised carrying the estimate.
+    Preconditions: a >= 1, q >= 1, n_terms >= 10.
     """
     if a < 1 or q < 1:
         raise ValueError(f"need a >= 1 and q >= 1, got a={a}, q={q}")
     _check_em_terms(n_terms)
     c0, c1, err = _em_laurent(np.float64(a / q), n_terms)
-    if err_target is not None and err > err_target:
-        raise PrecisionError(err, err_target)
     return StieltjesPair(a=a, q=q, gamma0=float(c0), gamma1=float(-c1),
                          err_estimate=err)
 

@@ -16,9 +16,9 @@ from scipy.integrate import quad
 from ekconst import (EULER_GAMMA, build_group, build_tables,
                      conductor_correction, decompose, divisors, gamma_q,
                      gamma_q_from_prime_sums, layer_weight, mobius, mobius_layer_sum,
-                     primitive_characters, primitive_phi_sum,
-                     progression_term, proxy_defect, psi, psi_mod,
-                     ramified_term, totient, window_term)
+                     primitive_characters, progression_term, proxy_defect,
+                     psi, psi_mod, ramified_term, totient, window_term)
+from ekconst.decomp import _class_table, _weighted_prime_sum
 from lvalue_oracle import l_values, phi_chi
 
 
@@ -26,6 +26,13 @@ def _prime_powers(tables, hi):
     pp = tables.prime_powers
     k = int(np.searchsorted(pp, math.floor(hi), side="right"))
     return pp[:k], tables.prime_power_logs[:k]
+
+
+def _primitive_phi_sum(d, x, tables):
+    # the per-conductor route: the sum of avg_chi(x) over the primitive chi
+    # mod d, one pass over the class table of d alone (proxy_defect makes
+    # one pass over the tables of every d | q)
+    return _weighted_prime_sum(_class_table(d), x, tables) / (x - 1.0)
 
 
 # ------------------------------------------------------------- layer sums
@@ -172,8 +179,8 @@ def test_terms_accept_modulus_above_table_bound():
     for q in (1009, 1500, 1998):
         assert (progression_term(q, 500.0, small)
                 == progression_term(q, 500.0, large)), q
-        assert (primitive_phi_sum(q, 500.0, small)
-                == primitive_phi_sum(q, 500.0, large)), q
+        assert (_primitive_phi_sum(q, 500.0, small)
+                == _primitive_phi_sum(q, 500.0, large)), q
 
 
 def test_progression_term_mod_one_vanishes(tables_small):
@@ -285,7 +292,7 @@ _ORACLE_MODULI = sorted(set(range(1, 401)) | set(divisors(2310))
 @pytest.mark.parametrize("x", [1e4, 1e6])
 def test_primitive_phi_sum_bit_identical_to_full_pass(tables_big, x):
     for d in _ORACLE_MODULI:
-        got = primitive_phi_sum(d, x, tables_big)
+        got = _primitive_phi_sum(d, x, tables_big)
         want = _primitive_phi_sum_full_pass(d, x, tables_big)
         assert got.hex() == want.hex(), (d, x)
 
@@ -309,7 +316,7 @@ def test_primitive_phi_sum_vs_per_character(tables_small):
         want = math.fsum(
             phi_chi(chi, 5000.0, tables_small).real
             for chi in primitive_characters(build_group(d)))
-        got = primitive_phi_sum(d, 5000.0, tables_small)
+        got = _primitive_phi_sum(d, 5000.0, tables_small)
         assert got == pytest.approx(want, abs=1e-10), d
 
 
@@ -376,21 +383,13 @@ def test_gamma_q_from_prime_sums_is_gamma_q_minus_proxy_defect(
 
 
 def test_gamma_q_from_prime_sums_domain_validation(tables_big):
-    with pytest.raises(ValueError, match="q must be >= 1, got 0"):
-        gamma_q_from_prime_sums(0, 1e4, tables_big)
-    for x in (1.0, 0.5, 2e7):
-        with pytest.raises(ValueError, match=r"1 < x <= 10000000 \(table"):
-            gamma_q_from_prime_sums(4, x, tables_big)
-
-
-def test_primitive_phi_sum_domain_validation(tables_big):
     # the module's one q/x check, with the message of every other function
     with pytest.raises(ValueError, match="q must be >= 1, got 0"):
-        primitive_phi_sum(0, 1e4, tables_big)
+        gamma_q_from_prime_sums(0, 1e4, tables_big)
     for x in (1.0, 0.5, 2e7, math.nan):
         with pytest.raises(ValueError, match=r"^x must satisfy 1 < x <= "
                                              r"10000000 \(table bound\), got"):
-            primitive_phi_sum(4, x, tables_big)
+            gamma_q_from_prime_sums(4, x, tables_big)
 
 
 # -------------------------------------------------------------- decompose

@@ -441,7 +441,8 @@ def test_folded_levels_match_one_pass_oracle(tables_big, x, prime_powers):
     chains = experiments._chains(range(1, m_max + 1),
                                  partial(experiments._probe_top, m_max))
     for chain in chains:
-        for m, sums in experiments._chain_class_sums(arr, w, chain):
+        for m, sums in experiments._chain_class_sums(
+                arr, w, chain, *experiments._residue_buffers(arr)):
             want = _coprime_class_sums(arr, w, m)
             want_error = float(np.abs(want - psi_x / want.size).max())
             if 2 * m > m_max:      # a pass of its own: bit for bit

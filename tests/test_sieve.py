@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ekconst import (CapacityError, build_tables, divisors, factorize, mobius,
                      psi, psi_mod, psi_mod_stream, psi_stream, totient)
+from ekconst import sieve
 from ekconst.sieve import (MAX_TABLE_BOUND, STREAM_SEGMENT, _small_primes,
                            coprime_mask, residues)
 
@@ -160,21 +161,41 @@ def test_divisor_sum_of_totient(tables):
         assert sum(totient(d) for d in divisors(n)) == n
 
 
-def test_streaming_matches_tables(tables):
-    assert psi_stream(3000, segment=1 << 8) == psi(tables, 3000)
-    assert psi_mod_stream(3000, 4, 1, segment=1 << 8) == \
-        psi_mod(tables, 3000, 4, 1)
+_S = 256
 
 
-def test_streaming_equals_tables_bit_for_bit(tables_small, tables_big):
+@pytest.mark.parametrize("bound", [
+    2 * _S + 1, 2 * _S + 2, 2 * _S + 3, 2 * _S + 4, 2 * _S + 7, 4 * _S + 3,
+    4 * _S + 5, 3000])
+def test_streaming_matches_tables(tables, monkeypatch, bound):
+    # the segment edges of test_segmented_primes_match_plain_sieve, at
+    # segments of S = 256 odd numbers
+    monkeypatch.setattr(sieve, "STREAM_SEGMENT", _S)
+    segments = []
+    real = sieve._segment_primes
+
+    def spy(xi, base, segment):
+        segments.append(segment)
+        return real(xi, base, segment)
+
+    monkeypatch.setattr(sieve, "_segment_primes", spy)
+    assert psi_stream(bound).hex() == psi(tables, bound).hex()
+    assert psi_mod_stream(bound, 4, 1).hex() == \
+        psi_mod(tables, bound, 4, 1).hex()
+    assert segments == [_S, _S]
+
+
+def test_streaming_equals_tables_bit_for_bit(tables_small, tables_big,
+                                             monkeypatch):
     # the same logs, rounded once: per-segment sums rounded first move
     # psi_stream(1e6) by one ulp
     small = build_tables(10**6)
     assert psi_stream(10**6).hex() == psi(small, 10**6).hex()
     assert psi_stream(1e7).hex() == psi(tables_big, 1e7).hex()
     assert psi_mod_stream(50007, 7, 3) == psi_mod(tables_small, 50007, 7, 3)
+    monkeypatch.setattr(sieve, "STREAM_SEGMENT", 1000)
     for q, a in ((1, 0), (4, 3), (30, 7), (97, 0)):
-        assert psi_mod_stream(99999, q, a, segment=1000) == \
+        assert psi_mod_stream(99999, q, a) == \
             psi_mod(tables_small, 99999, q, a), (q, a)
 
 

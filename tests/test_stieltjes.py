@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekconst import (DEFAULT_EM_TERMS, EULER_GAMMA, PrecisionError,
-                     digamma_rational, stieltjes01, stieltjes_pair_table)
+from ekconst import (DEFAULT_EM_TERMS, EULER_GAMMA, digamma_rational,
+                     stieltjes01, stieltjes_pair_table)
 from ekconst import stieltjes
 from ekconst.ekgamma import EM_BLOCK_POINTS
 from ekconst.stieltjes import _diff_step, _em_laurent, _sum_step
@@ -94,12 +94,6 @@ def test_reflection_sum_digamma():
     got = digamma_rational(1, 4) + digamma_rational(3, 4)
     want = -2.0 * EULER_GAMMA - 6.0 * math.log(2.0)
     assert got == pytest.approx(want, abs=1e-13)
-
-
-def test_precision_error_raised_when_target_unreachable():
-    with pytest.raises(PrecisionError) as info:
-        stieltjes01(1, 1, n_terms=10, err_target=1e-300)
-    assert info.value.estimate > 1e-300
 
 
 def test_argument_validation():
