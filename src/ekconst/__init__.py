@@ -12,8 +12,7 @@ from .characters import (CharacterGroup, DirichletCharacter, build_group,
                          primitive_characters, principal_character)
 from .decomp import (DecompositionReport, conductor_correction, decompose,
                      gamma_q_from_prime_sums, layer_weight, mobius_layer_sum,
-                     progression_term, proxy_defect, ramified_term,
-                     window_term)
+                     ramified_term)
 from .ekgamma import (CacheCorruption, ConductorCache, ConductorTotal,
                       GammaQ, conductor_totals, gamma_q, l_at_one,
                       precision_tag)
@@ -35,8 +34,7 @@ __all__ = [
     "CharacterGroup", "DirichletCharacter", "build_group", "conductor_grid",
     "enumerate_characters", "primitive_characters", "principal_character",
     "DecompositionReport", "conductor_correction", "decompose",
-    "layer_weight", "mobius_layer_sum", "progression_term", "proxy_defect",
-    "ramified_term", "window_term",
+    "layer_weight", "mobius_layer_sum", "ramified_term",
     "CacheCorruption", "ConductorCache", "ConductorTotal", "GammaQ",
     "conductor_totals", "gamma_q", "gamma_q_from_prime_sums", "l_at_one",
     "precision_tag",

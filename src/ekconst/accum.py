@@ -19,12 +19,13 @@ fsum_array is the library's one exact sum of a float array, and it alone
 chooses the method: an array of fewer than _KERNEL_MIN elements goes to
 math.fsum(arr.tolist()), where the Python floats cost less than the set-up
 of a chunk, and a longer one to the kernel. Either way the float is the
-same. Only the streaming sums of sieve (psi_stream, psi_mod_stream) take
-fixed_sum's integers themselves, to add their segments before rounding
-once. math.fsum stays the exact sum of Python lists and generators. The
-one elementwise compensated loop, where no exact sum applies, is the
-Euler-Maclaurin kernel in stieltjes, which keeps its error-free additions
-in place.
+same. Two routes take fixed_sum's integers themselves, to add their
+pieces before rounding once: the streaming sums of sieve (psi_stream,
+psi_mod_stream) add their segments, and decomp's one pass over the prime
+powers adds its slices of CHUNK elements. math.fsum stays the exact sum
+of Python lists and generators. The one elementwise compensated loop,
+where no exact sum applies, is the Euler-Maclaurin kernel in stieltjes,
+which keeps its error-free additions in place.
 """
 from __future__ import annotations
 

@@ -54,27 +54,42 @@ Every term below is evaluated by exact order-swapped sums over prime powers
 residual, which vanishes up to floating-point rounding for any admissible
 x and x_split.
 
-The averages avg_chi(x) never evaluate a character: the sum of chi(n) over
-the primitive chi mod d is an integer that depends only on n mod d, so each
-conductor's averages read one integer table over the residues mod d
-(_class_table). The proxy defect adds the tables of every conductor d | q,
-each repeated q/d times, into one table mod q, and reads it in a single pass
-over the prime powers with one exactly rounded sum. The per-conductor sum,
-one pass over one conductor's table, is the tests' oracle for that pass.
-gamma_q_from_prime_sums, the estimate of gamma_q from prime sums alone,
-reads the same pass: it is gamma - (that sum).
+The long sums, the progression term, the three windows and the averages
+of the proxy defect, come from one pass over the prime powers n <= x in
+slices of accum.CHUNK (_prime_power_pass). Each is an exact sum, added a
+slice at a time as a fixed_sum integer and rounded once, so the slicing
+changes no bit. One residue pass per slice finds the n = 1 mod q for every
+term, and the pass holds only slice-sized buffers, whatever x is.
+
+The averages never evaluate a character. Summed over the primitive chi of
+every conductor d > 1 dividing q, chi(n) totals
+
+    w(n) = phi(q_n) * [n == 1 mod q_n] - 1,
+
+where q_n is the largest divisor of q coprime to n: the primitive
+characters of a d that shares a factor with n vanish at n, those of the
+d | q_n induce every character mod q_n once, and orthogonality leaves
+phi(q_n) [n == 1 mod q_n], less 1 for d = 1. So w is -1 at almost every
+prime power, phi(q) - 1 at the n = 1 mod q, and layer_weight - 1 at the
+powers of the primes dividing q. The tests keep the characters' class
+tables, one integer table over the residues mod each d, as the oracle of
+that closed form and of the pass's bits. gamma_q_from_prime_sums, the
+estimate of gamma_q from prime sums alone, reads the same pass: it is
+gamma minus the averages.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accum import fsum_array
+from .accum import CHUNK, fixed_sum, fsum_array, round_fixed
 from .ekgamma import ConductorCache, gamma_q
-from .sieve import (ArithmeticTables, _lambda_of, _prefix, coprime_mask,
-                    divisors, factorize, mobius, residues, totient)
+from .sieve import (ArithmeticTables, _lambda_of, _prefix, divisors,
+                    factorize, mobius, residues, totient)
 from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
 
 
@@ -117,16 +132,6 @@ def _check_window(q: int, x: float, x_split: float,
     if not q <= x_split <= x:
         raise ValueError(
             f"need q <= x_split <= x, got q={q}, x_split={x_split}, x={x}")
-
-
-def _remainder_sum(q: int, x: float, pp: np.ndarray,
-                   vals: np.ndarray) -> float:
-    """(phi(q) * sum of vals[n = 1 mod q] - sum of vals) / (x - 1), both
-    sums exactly rounded, for values vals at the prime powers pp: the
-    partial sum of R(u) = phi(q) psi(u; q, 1) - psi(u) against a weight."""
-    full = fsum_array(vals)
-    prog = fsum_array(vals[residues(pp, q) == 1 % q])
-    return (totient(q) * prog - full) / (x - 1.0)
 
 
 def mobius_layer_sum(d: int, p: int, q: int) -> int:
@@ -187,101 +192,118 @@ def ramified_term(q: int, x: float, tables: ArithmeticTables) -> float:
                      in _ramified_powers(q, x, tables)) / (x - 1.0)
 
 
-def progression_term(q: int, x: float, tables: ArithmeticTables) -> float:
-    """(1/(x-1)) * [phi(q) sum_{n <= x, n = 1 mod q} Lambda(n) log(x/n)
-    - sum_{n <= x} Lambda(n) log(x/n)], evaluated exactly."""
-    _check_args(q, x, tables)
+def _log_ratio(x: float, n: np.ndarray, lam: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+    """Lambda(n) log(x/n) into out: the progression term's values."""
+    np.divide(x, n, out=out)
+    np.log(out, out=out)
+    return np.multiply(lam, out, out=out)
+
+
+def _window_values(x: float, lo: float, hi: float, n: np.ndarray,
+                   lam: np.ndarray, out: np.ndarray,
+                   tmp: np.ndarray) -> np.ndarray:
+    """Lambda(n) J(max(lo, n), hi) into out, tmp as scratch, where
+    J(a, b) = x(1/a - 1/b) - log(b/a) is the exact integral of (x - u)/u^2
+    over [a, b]: swapping summation and integration gives each window of
+    the integral of R(u) (x - u)/u^2 as a sum over the n <= hi."""
+    a = np.maximum(n, lo, out=tmp)
+    np.divide(1.0, a, out=out)
+    np.subtract(out, 1.0 / hi, out=out)
+    np.multiply(x, out, out=out)
+    np.log(a, out=a)
+    np.subtract(math.log(hi), a, out=a)
+    np.subtract(out, a, out=out)
+    return np.multiply(lam, out, out=out)
+
+
+class _ClassSum:
+    """Exact sum of the values at the prime powers n = 1 mod q, gathered a
+    slice at a time. The pieces go into one fixed_sum integer whenever they
+    hold CHUNK values, so they stay O(CHUNK) however dense the class is."""
+
+    def __init__(self) -> None:
+        self.folded: int | None = None
+        self.pieces: list[np.ndarray] = [np.empty(0)]
+        self.size = 0
+
+    def add(self, values: np.ndarray) -> None:
+        self.pieces.append(values)
+        self.size += len(values)
+        if self.size >= CHUNK:
+            self.folded = ((self.folded or 0)
+                           + fixed_sum(np.concatenate(self.pieces)))
+            self.pieces, self.size = [np.empty(0)], 0
+
+    def value(self) -> float:
+        rest = np.concatenate(self.pieces)
+        # unfolded, the usual few hundred values take fsum_array's cheaper
+        # route to the same float
+        if self.folded is None:
+            return fsum_array(rest)
+        return round_fixed(self.folded + fixed_sum(rest))
+
+
+def _prime_power_pass(
+        q: int, x: float, tables: ArithmeticTables,
+        terms: list[tuple[float, Callable[..., np.ndarray]]],
+) -> tuple[float, list[float]]:
+    """The long sums of the identity in one pass over the prime powers
+    n <= x, read in slices of CHUNK.
+
+    Returns the proxy average, (1/(x-1)) sum of Lambda(n) (x - n)/n w(n)
+    with the closed-form weight w of the module docstring, and for each
+    term (hi, fill) the remainder sum (phi(q) * P - F) / (x - 1): F sums
+    fill's values over the n <= hi, and P over those with n = 1 mod q.
+    fill(n, lam, out, tmp) writes the value at each prime power n, with
+    Lambda(n) = lam, into out and returns it; tmp is scratch.
+
+    Every slice fills three slice-sized buffers made once per call. F and the
+    proxy sum are fixed_sum integers added per slice and rounded once, and
+    P gathers its values into a _ClassSum, so each float equals the exact
+    sum over whole arrays that the tests' per-term oracle takes.
+    """
     pp, lg = _prefix(tables, x)
-    return _remainder_sum(q, x, pp, lg * np.log(x / pp))
-
-
-def window_term(q: int, x: float, x_split: float, tables: ArithmeticTables,
-                part: int) -> float:
-    """One window of (1/(x-1)) * integral R(u) (x-u)/u^2 du with
-    R(u) = phi(q) psi(u; q, 1) - psi(u).
-
-    part selects [1, q], [q, x_split] or [x_split, x]. The integral is
-    evaluated by swapping summation and integration: each prime power n
-    contributes its Lambda-weight times J(max(lo, n), hi) where
-    J(a, b) = x(1/a - 1/b) - log(b/a) is the exact window integral of
-    (x - u)/u^2.
-    """
-    _check_window(q, x, x_split, tables)
-    if part == 1:
-        lo, hi = 1.0, float(q)
-    elif part == 2:
-        lo, hi = float(q), float(x_split)
-    elif part == 3:
-        lo, hi = float(x_split), float(x)
-    else:
-        raise ValueError(f"part must be 1, 2 or 3, got {part}")
-    if hi <= lo:
-        return 0.0
-    pp, lg = _prefix(tables, hi)
-    if pp.size == 0:
-        return 0.0
-    a = np.maximum(pp.astype(np.float64), lo)
-    jw = x * (1.0 / a - 1.0 / hi) - (math.log(hi) - np.log(a))
-    return _remainder_sum(q, x, pp, lg * jw)
-
-
-def _class_table(d: int) -> np.ndarray:
-    """Length-d int64 table T with T[r] = sum_{chi primitive mod d} chi(r).
-
-    For gcd(r, d) = 1 that is sum_{e | gcd(d, r-1)} phi(e) mu(d/e); for
-    gcd(r, d) > 1 every chi(r) vanishes and T[r] = 0.
-    """
-    table = np.zeros(d, dtype=np.int64)
-    for e in divisors(d):
-        me = mobius(d // e)
-        if me:
-            table[1 % e::e] += totient(e) * me
-    table[~coprime_mask(d)] = 0
-    return table
-
-
-def _weighted_prime_sum(weights: np.ndarray, x: float,
-                        tables: ArithmeticTables) -> float:
-    """Exactly rounded sum of Lambda(n) (x - n)/n * weights[n mod m] over
-    the prime powers n <= x, where m = len(weights)."""
-    pp, lg = _prefix(tables, x)
-    w = weights[residues(pp, weights.size)]
-    nz = w != 0
-    n = pp[nz]
-    return fsum_array(lg[nz] * (x - n) / n * w[nz])
-
-
-def _proxy_average(q: int, x: float, tables: ArithmeticTables) -> float:
-    """Sum of avg_chi(x) over the primitive characters of every conductor
-    d > 1 dividing q, in one residue pass.
-
-    The class tables of those conductors, each repeated q/d times, add up
-    to one integer table mod q, and the weighted prime powers go into one
-    exactly rounded sum.
-    """
-    weights = np.zeros(q, dtype=np.int64)
-    for d in divisors(q)[1:]:
-        weights += np.tile(_class_table(d), q // d)
-    return _weighted_prime_sum(weights, x, tables) / (x - 1.0)
-
-
-def proxy_defect(q: int, x: float, tables: ArithmeticTables,
-                 cache: ConductorCache | None = None,
-                 n_terms: int = DEFAULT_EM_TERMS) -> float:
-    """Total of L'/L(1, chi) + avg_chi(x) over the primitive characters of
-    every conductor > 1 dividing q; shrinks as x grows.
-
-    The averages of all conductors d | q share one residue pass
-    (_proxy_average), rounded once, not once per conductor, so it can differ
-    in the last bit from the exact sum of the per-conductor sums, the tests'
-    oracle.
-    """
-    _check_args(q, x, tables)
-    if cache is None:
-        cache = ConductorCache()
-    parts = cache.fill(divisors(q)[1:], n_terms)
-    parts.append(_proxy_average(q, x, tables))
-    return math.fsum(parts)
+    phi = totient(q)
+    counts = [int(np.searchsorted(pp, math.floor(hi), side="right"))
+              for hi, _ in terms]
+    size = min(len(pp), CHUNK)
+    out, tmp = np.empty(size), np.empty(size)
+    quot = np.empty(size, dtype=pp.dtype)
+    ramified = [(n, 1 - layer_weight(p, v, q))
+                for p, v, n, _ in _ramified_powers(q, x, tables)]
+    ram_at = np.searchsorted(pp, [n for n, _ in ramified])
+    ram_factor = np.array([c for _, c in ramified], dtype=np.float64)
+    full = [0] * len(terms)
+    ones = [_ClassSum() for _ in terms]
+    proxy = 0
+    # the values are finite and far below 2^1000, so fixed_sum never
+    # returns None here
+    for start in range(0, len(pp), CHUNK):
+        n, lam = pp[start:start + CHUNK], lg[start:start + CHUNK]
+        k = len(n)
+        at_one = np.flatnonzero(residues(n, q, quot=quot[:k]) == 1 % q)
+        for i, (count, (_, fill)) in enumerate(zip(counts, terms)):
+            m = min(k, count - start)
+            if m > 0:
+                values = fill(n[:m], lam[:m], out[:m], tmp[:m])
+                full[i] += fixed_sum(values)
+                ones[i].add(values[at_one[:np.searchsorted(at_one, m)]])
+        f = out[:k]
+        np.subtract(x, n, out=f)
+        np.multiply(lam, f, out=f)
+        np.divide(f, n, out=f)
+        # f w(n): -f, times 1 - phi(q) at the n = 1 mod q and 1 -
+        # layer_weight at the ramified powers; as fl(-a) = -fl(a), each
+        # product is the float f * w(n)
+        np.negative(f, out=f)
+        f[at_one] *= 1 - phi
+        inside = (ram_at >= start) & (ram_at < start + k)
+        f[ram_at[inside] - start] *= ram_factor[inside]
+        proxy += fixed_sum(f)
+    sums = [(phi * p.value() - round_fixed(total)) / (x - 1.0)
+            for total, p in zip(full, ones)]
+    return round_fixed(proxy) / (x - 1.0), sums
 
 
 def gamma_q_from_prime_sums(q: int, x: float,
@@ -295,7 +317,7 @@ def gamma_q_from_prime_sums(q: int, x: float,
     comfortably inside 0.1 for small q. Not an exact method.
     """
     _check_args(q, x, tables)
-    return EULER_GAMMA - _proxy_average(q, x, tables)
+    return EULER_GAMMA - _prime_power_pass(q, x, tables, [])[0]
 
 
 def decompose(q: int, x: float, x_split: float, tables: ArithmeticTables,
@@ -306,13 +328,17 @@ def decompose(q: int, x: float, x_split: float, tables: ArithmeticTables,
     if cache is None:
         cache = ConductorCache()
     lhs = gamma_q(q, cache, n_terms).value
-    a_val = proxy_defect(q, x, tables, cache, n_terms)
+    # the windows [1, q], [q, x_split], [x_split, x]; an empty one is given
+    # no prime power, and its sum is 0.0
+    windows = [(hi if lo < hi else 0.0,
+                functools.partial(_window_values, x, lo, hi))
+               for lo, hi in ((1.0, float(q)), (float(q), float(x_split)),
+                              (float(x_split), float(x)))]
+    average, (g2, w1, w2, w3) = _prime_power_pass(
+        q, x, tables, [(x, functools.partial(_log_ratio, x)), *windows])
+    a_val = math.fsum(cache.fill(divisors(q)[1:], n_terms) + [average])
     b_val = conductor_correction(q, x, tables)
-    g2 = progression_term(q, x, tables)
     g3 = ramified_term(q, x, tables)
-    w1 = window_term(q, x, x_split, tables, 1)
-    w2 = window_term(q, x, x_split, tables, 2)
-    w3 = window_term(q, x, x_split, tables, 3)
     # the identity's correction term is the collapsed one plus the ramified
     # term, so the latter enters the right-hand side once with each sign
     rhs = math.fsum([EULER_GAMMA, a_val, b_val, g3, -g2, -g3, -w1, -w2, -w3])

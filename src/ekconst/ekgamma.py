@@ -19,7 +19,7 @@ characters. A per-character scalar route in the test suite cross-checks the
 DFT.
 
 ConductorCache.fill(qs, n_terms, workers) is the library's one route from
-conductors to totals: gamma_q, proxy_defect and scan_range all read their
+conductors to totals: gamma_q, decompose and scan_range all read their
 totals through it, as a list of floats. It computes the conductors the
 cache lacks with conductor_totals and stores them; with workers > 1 they go
 through _map_chunks, the library's one process pool, in interleaved chunks.

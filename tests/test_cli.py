@@ -2,10 +2,12 @@
 
 Everything drives entry() in-process with an isolated --cache-dir, matching
 exactly what the console script would do; one case runs `python -m ekconst`
-in a subprocess.
+in a subprocess, and one runs `decompose 45 --x 1e8` in a fresh interpreter
+to read its peak RSS.
 """
 import argparse
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -166,6 +168,37 @@ def test_decompose_sieves_up_to_x(tmp_path, capsys, shared_cache):
     for name, value in dataclasses.asdict(report).items():
         want = str(value) if isinstance(value, int) else experiments._g(value)
         assert _value(out, name) == want, name
+
+
+#: sha256 of the stdout of `decompose 45 --x 1e8`, frozen before decompose
+#: read the prime powers in slices.
+DECOMPOSE_1E8_DIGEST = (
+    "d54f51daeaff88e78308fda0a86e86910f89b7f16c6c07b0e3f927916291af9b")
+#: Peak RSS of that run in MiB. The tables to 1e8 alone bring a process to
+#: about 212 MiB; full-length temporaries of the long sums took it to 348.
+DECOMPOSE_1E8_MAX_RSS_MB = 250
+
+
+def test_decompose_1e8_output_and_peak_rss(tmp_path):
+    # the CLI in a fresh interpreter that reports its own peak RSS (KiB on
+    # Linux) on stderr after the report
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = ("import resource, sys\n"
+              "from ekconst.cli import entry\n"
+              "code = entry(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+              " file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "decompose", "45", "--x", "1e8",
+         "--cache-dir", str(tmp_path)],
+        capture_output=True, env=env, timeout=300)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert (hashlib.sha256(done.stdout).hexdigest()
+            == DECOMPOSE_1E8_DIGEST), done.stdout.decode()
+    peak_mb = int(done.stderr.split()[-1]) / 1024
+    assert peak_mb < DECOMPOSE_1E8_MAX_RSS_MB, peak_mb
 
 
 _SIEVED = [

@@ -4,6 +4,9 @@ Every term has an independent route in here: literal character sums for the
 conductor correction and the proxy defect, piecewise-exact integration for
 the window terms (the implementation swaps summation and integration, the
 oracle does not), plain enumeration for the progression and ramified terms.
+The per-term route, one full-length pass per term over the prime powers
+with the characters' class tables as the proxy's weights, is the oracle of
+the library's one sliced pass, bit for bit.
 """
 import dataclasses
 import hashlib
@@ -13,12 +16,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ekconst import (EULER_GAMMA, build_group, build_tables,
-                     conductor_correction, decompose, divisors, gamma_q,
-                     gamma_q_from_prime_sums, layer_weight, mobius, mobius_layer_sum,
-                     primitive_characters, progression_term, proxy_defect,
-                     psi, psi_mod, ramified_term, totient, window_term)
-from ekconst.decomp import _class_table, _weighted_prime_sum
+from ekconst import (EULER_GAMMA, DecompositionReport, build_group,
+                     build_tables, conductor_correction, decompose, divisors,
+                     factorize, gamma_q, gamma_q_from_prime_sums,
+                     layer_weight, mobius, mobius_layer_sum,
+                     primitive_characters, psi, psi_mod, ramified_term,
+                     totient)
+from ekconst.accum import CHUNK, fsum_array
+from ekconst.sieve import _prefix, coprime_mask, residues
 from lvalue_oracle import l_values, phi_chi
 
 
@@ -28,11 +33,105 @@ def _prime_powers(tables, hi):
     return pp[:k], tables.prime_power_logs[:k]
 
 
+# ------------------------------------------------------- per-term oracle
+
+
+def _remainder_sum(q, x, pp, vals):
+    # (phi(q) * sum of vals[n = 1 mod q] - sum of vals) / (x - 1), both
+    # sums exactly rounded
+    full = fsum_array(vals)
+    prog = fsum_array(vals[residues(pp, q) == 1 % q])
+    return (totient(q) * prog - full) / (x - 1.0)
+
+
+def progression_term(q, x, tables):
+    pp, lg = _prefix(tables, x)
+    return _remainder_sum(q, x, pp, lg * np.log(x / pp))
+
+
+def window_term(q, x, x_split, tables, part):
+    # each prime power n <= hi contributes Lambda(n) J(max(lo, n), hi),
+    # with J(a, b) = x(1/a - 1/b) - log(b/a)
+    if part not in (1, 2, 3):
+        raise ValueError(f"part must be 1, 2 or 3, got {part}")
+    lo, hi = [(1.0, float(q)), (float(q), float(x_split)),
+              (float(x_split), float(x))][part - 1]
+    if hi <= lo:
+        return 0.0
+    pp, lg = _prefix(tables, hi)
+    if pp.size == 0:
+        return 0.0
+    a = np.maximum(pp.astype(np.float64), lo)
+    jw = x * (1.0 / a - 1.0 / hi) - (math.log(hi) - np.log(a))
+    return _remainder_sum(q, x, pp, lg * jw)
+
+
+def _class_table(d):
+    # T[r] = sum of chi(r) over the primitive chi mod d: for gcd(r, d) = 1
+    # that is sum_{e | gcd(d, r-1)} phi(e) mu(d/e), else 0
+    table = np.zeros(d, dtype=np.int64)
+    for e in divisors(d):
+        me = mobius(d // e)
+        if me:
+            table[1 % e::e] += totient(e) * me
+    table[~coprime_mask(d)] = 0
+    return table
+
+
+def _tiled_class_tables(q):
+    # the class tables of every conductor d > 1 dividing q, each repeated
+    # q/d times, added into one table mod q
+    weights = np.zeros(q, dtype=np.int64)
+    for d in divisors(q)[1:]:
+        weights += np.tile(_class_table(d), q // d)
+    return weights
+
+
+def _weighted_prime_sum(weights, x, tables):
+    # exactly rounded sum of Lambda(n) (x - n)/n * weights[n mod m] over
+    # the prime powers n <= x, m = len(weights)
+    pp, lg = _prefix(tables, x)
+    w = weights[residues(pp, weights.size)]
+    nz = w != 0
+    n = pp[nz]
+    return fsum_array(lg[nz] * (x - n) / n * w[nz])
+
+
+def _proxy_average(q, x, tables):
+    return _weighted_prime_sum(_tiled_class_tables(q), x, tables) / (x - 1.0)
+
+
+def proxy_defect(q, x, tables, cache):
+    parts = cache.fill(divisors(q)[1:])
+    parts.append(_proxy_average(q, x, tables))
+    return math.fsum(parts)
+
+
+def _decompose_per_term(q, x, x_split, tables, cache):
+    lhs = gamma_q(q, cache).value
+    a_val = proxy_defect(q, x, tables, cache)
+    b_val = conductor_correction(q, x, tables)
+    g2 = progression_term(q, x, tables)
+    g3 = ramified_term(q, x, tables)
+    w1, w2, w3 = (window_term(q, x, x_split, tables, part)
+                  for part in (1, 2, 3))
+    rhs = math.fsum([EULER_GAMMA, a_val, b_val, g3, -g2, -g3, -w1, -w2, -w3])
+    return DecompositionReport(
+        q=q, x=float(x), x_split=float(x_split), proxy_defect=a_val,
+        conductor_correction=b_val, progression=g2, ramified=g3,
+        window_head=w1, window_mid=w2, window_tail=w3, gamma_q_direct=lhs,
+        residual=lhs - rhs)
+
+
 def _primitive_phi_sum(d, x, tables):
     # the per-conductor route: the sum of avg_chi(x) over the primitive chi
-    # mod d, one pass over the class table of d alone (proxy_defect makes
-    # one pass over the tables of every d | q)
+    # mod d, one pass over the class table of d alone
     return _weighted_prime_sum(_class_table(d), x, tables) / (x - 1.0)
+
+
+def _hex_fields(rep):
+    return [float(getattr(rep, f.name)).hex()
+            for f in dataclasses.fields(rep)]
 
 
 # ------------------------------------------------------------- layer sums
@@ -131,11 +230,12 @@ def test_conductor_correction_nonpositive_sample(tables_small):
         assert conductor_correction(q, 1e4, tables_small) <= 0.0, q
 
 
-def test_trivial_modulus_terms_vanish(tables_small):
+def test_trivial_modulus_terms_vanish(shared_cache, tables_small):
     # q = 1 has no prime factors and no nonprincipal characters
     assert conductor_correction(1, 1000.0, tables_small) == 0.0
     assert ramified_term(1, 1000.0, tables_small) == 0.0
-    assert proxy_defect(1, 1000.0, tables_small) == 0.0
+    rep = decompose(1, 1000.0, 1.0, tables_small, shared_cache)
+    assert rep.proxy_defect == 0.0
 
 
 # ------------------------------------------------- ramified / progression
@@ -158,7 +258,7 @@ def test_ramified_term_nonnegative(tables_small):
             assert ramified_term(q, x, tables_small) >= 0.0
 
 
-def test_progression_term_direct_enumeration(tables_small):
+def test_progression_term_direct_enumeration(shared_cache, tables_small):
     q, x = 7, 300.0
     full, prog = [], []
     for n in range(2, 301):
@@ -169,24 +269,24 @@ def test_progression_term_direct_enumeration(tables_small):
             if n % q == 1:
                 prog.append(v)
     want = (totient(q) * math.fsum(prog) - math.fsum(full)) / (x - 1.0)
-    assert progression_term(q, x, tables_small) == pytest.approx(want,
-                                                                 abs=1e-12)
+    got = decompose(q, x, float(q), tables_small, shared_cache).progression
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_terms_accept_modulus_above_table_bound():
     # only x is bounded by the table; q and d may exceed it
     small, large = build_tables(1000), build_tables(2000)
     for q in (1009, 1500, 1998):
-        assert (progression_term(q, 500.0, small)
-                == progression_term(q, 500.0, large)), q
+        assert (gamma_q_from_prime_sums(q, 500.0, small)
+                == gamma_q_from_prime_sums(q, 500.0, large)), q
         assert (_primitive_phi_sum(q, 500.0, small)
                 == _primitive_phi_sum(q, 500.0, large)), q
 
 
-def test_progression_term_mod_one_vanishes(tables_small):
+def test_progression_term_mod_one_vanishes(shared_cache, tables_small):
     # phi(1) = 1 and every n is 0 = 1 mod 1, so the bracket cancels exactly
-    assert progression_term(1, 1e4, tables_small) == pytest.approx(0.0,
-                                                                   abs=1e-15)
+    got = decompose(1, 1e4, 1.0, tables_small, shared_cache).progression
+    assert got == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------- windows
@@ -216,10 +316,13 @@ def _window_oracle_piecewise(q, x, lo, hi, tables):
 @pytest.mark.parametrize("q,x,x_split", [(5, 100.0, 25.0), (7, 2000.0, 49.0),
                                          (6, 10_000.0, 36.0),
                                          (12, 500.0, 12.0)])
-def test_window_terms_vs_piecewise_integration(q, x, x_split, tables_small):
+def test_window_terms_vs_piecewise_integration(q, x, x_split, shared_cache,
+                                               tables_small):
+    rep = decompose(q, x, x_split, tables_small, shared_cache)
+    windows = (rep.window_head, rep.window_mid, rep.window_tail)
     for part, (lo, hi) in enumerate(
             [(1.0, float(q)), (float(q), x_split), (x_split, x)], start=1):
-        got = window_term(q, x, x_split, tables_small, part)
+        got = windows[part - 1]
         want = _window_oracle_piecewise(q, x, lo, hi, tables_small)
         assert got == pytest.approx(want, abs=1e-9), (q, part)
 
@@ -241,28 +344,31 @@ def test_window_piecewise_oracle_vs_scipy_quad(tables_small):
     assert val / (x - 1.0) == pytest.approx(want, abs=1e-7)
 
 
-def test_window_edge_cases(tables_small):
+def test_window_edge_cases(shared_cache, tables_small):
     # degenerate split points give empty windows, and the head+mid+tail
     # total is split-invariant
     q, x = 11, 3000.0
-    assert window_term(q, x, float(q), tables_small, 2) == 0.0
-    assert window_term(q, x, x, tables_small, 3) == 0.0
+    assert decompose(q, x, float(q), tables_small,
+                     shared_cache).window_mid == 0.0
+    assert decompose(q, x, x, tables_small, shared_cache).window_tail == 0.0
     totals = []
     for x_split in (float(q), 121.0, 1500.0, x):
-        totals.append(math.fsum(
-            window_term(q, x, x_split, tables_small, part)
-            for part in (1, 2, 3)))
+        rep = decompose(q, x, x_split, tables_small, shared_cache)
+        totals.append(math.fsum([rep.window_head, rep.window_mid,
+                                 rep.window_tail]))
     for t in totals[1:]:
         assert t == pytest.approx(totals[0], abs=1e-10)
 
 
-def test_window_part_validation(tables_small):
+def test_window_part_validation(shared_cache, tables_small):
     with pytest.raises(ValueError):
         window_term(5, 100.0, 25.0, tables_small, 4)
-    with pytest.raises(ValueError):
-        window_term(5, 100.0, 3.0, tables_small, 1)   # x_split < q
-    with pytest.raises(ValueError):
-        window_term(5, 100.0, 200.0, tables_small, 1)  # x_split > x
+    # the library's windows come only through decompose, which checks the
+    # split
+    with pytest.raises(ValueError, match="need q <= x_split <= x"):
+        decompose(5, 100.0, 3.0, tables_small, shared_cache)   # x_split < q
+    with pytest.raises(ValueError, match="need q <= x_split <= x"):
+        decompose(5, 100.0, 200.0, tables_small, shared_cache)  # > x
 
 
 # ------------------------------------------------------------ proxy defect
@@ -289,6 +395,25 @@ _ORACLE_MODULI = sorted(set(range(1, 401)) | set(divisors(2310))
                         | set(divisors(3600)) | set(divisors(4620)))
 
 
+def test_closed_form_proxy_weight_equals_the_class_tables():
+    # the weight the pass gives a prime power n = r mod q, the total of
+    # chi(r) over the primitive chi of every conductor d > 1 dividing q, is
+    # phi(q_r) [r = 1 mod q_r] - 1 with q_r the largest divisor of q
+    # coprime to r
+    for q in range(1, 501):
+        coprime_part = {}
+        for g in divisors(q):
+            q_r = q
+            for p, _ in factorize(g):
+                while q_r % p == 0:
+                    q_r //= p
+            coprime_part[g] = q_r
+        got = [totient(q_r) * (r % q_r == 1 % q_r) - 1
+               for r in range(q)
+               for q_r in (coprime_part[math.gcd(r, q)],)]
+        assert got == _tiled_class_tables(q).tolist(), q
+
+
 @pytest.mark.parametrize("x", [1e4, 1e6])
 def test_primitive_phi_sum_bit_identical_to_full_pass(tables_big, x):
     for d in _ORACLE_MODULI:
@@ -307,7 +432,7 @@ def test_proxy_defect_vs_full_pass_parts(shared_cache, tables_big, x):
                                             for d in conductors], q
         parts += [_primitive_phi_sum_full_pass(d, x, tables_big)
                   for d in conductors]
-        got = proxy_defect(q, x, tables_big, shared_cache)
+        got = decompose(q, x, float(q), tables_big, shared_cache).proxy_defect
         assert got == pytest.approx(math.fsum(parts), rel=0, abs=1e-14), q
 
 
@@ -338,7 +463,8 @@ def test_proxy_defect_vs_per_character(shared_cache, tables_small):
             for chi in primitive_characters(build_group(d)):
                 want.append(l_values(chi).logderiv.real)
                 want.append(phi_chi(chi, 2000.0, tables_small).real)
-        got = proxy_defect(q, 2000.0, tables_small, shared_cache)
+        got = decompose(q, 2000.0, float(q), tables_small,
+                        shared_cache).proxy_defect
         assert got == pytest.approx(math.fsum(want), abs=1e-9), q
 
 
@@ -346,8 +472,9 @@ def test_proxy_defect_shrinks_with_x(shared_cache, tables_big):
     # the proxy converges to -L'/L, so the defect at 1e7 is much smaller
     # than at 1e3
     for q in (3, 4, 7):
-        small = abs(proxy_defect(q, 1e3, tables_big, shared_cache))
-        large = abs(proxy_defect(q, 1e7, tables_big, shared_cache))
+        small, large = (abs(decompose(q, x, float(q), tables_big,
+                                      shared_cache).proxy_defect)
+                        for x in (1e3, 1e7))
         assert large < small
         assert large < 5e-3
 
@@ -377,7 +504,8 @@ def test_gamma_q_from_prime_sums_is_gamma_q_minus_proxy_defect(
         shared_cache, tables_big, x):
     for q in (*range(1, 61), 97, 120, 997, 2310):
         want = (gamma_q(q, shared_cache).value
-                - proxy_defect(q, x, tables_big, shared_cache))
+                - decompose(q, x, float(q), tables_big,
+                            shared_cache).proxy_defect)
         got = gamma_q_from_prime_sums(q, x, tables_big)
         assert got == pytest.approx(want, rel=0, abs=1e-14), q
 
@@ -408,6 +536,7 @@ def test_report_fields_consistent(shared_cache, tables_small):
     rep = decompose(q, x, x_split, tables_small, shared_cache)
     assert rep.q == q and rep.x == x and rep.x_split == x_split
     assert rep.gamma_q_direct == gamma_q(q, shared_cache).value
+    # the per-term oracle, one function per term
     assert rep.proxy_defect == proxy_defect(q, x, tables_small, shared_cache)
     assert rep.conductor_correction == conductor_correction(q, x,
                                                             tables_small)
@@ -422,6 +551,50 @@ def test_report_fields_consistent(shared_cache, tables_small):
                      -rep.progression, -rep.ramified, -rep.window_head,
                      -rep.window_mid, -rep.window_tail])
     assert rep.residual == rep.gamma_q_direct - rhs
+
+
+#: x whose count of prime powers is CHUNK - 1, CHUNK and CHUNK + 1, as the
+#: index of the last prime power <= x. A split at the last of the first
+#: CHUNK prime powers ends a window's prefix exactly on a slice boundary.
+_SLICE_EDGES = {"CHUNK - 1": CHUNK - 2, "CHUNK": CHUNK - 1,
+                "CHUNK + 1": CHUNK}
+#: Below x = 1e6 every oracle modulus runs. At 1e6 and at the slice edges,
+#: where one modulus costs 10-40 ms, the divisors of 2310, 3600 and 4620
+#: cover the ramified and the n = 1 mod q cases, and those of 4620 the
+#: slice edges; the whole grid took 40 s more.
+_LARGE_X_MODULI = sorted(set(divisors(2310)) | set(divisors(3600))
+                         | set(divisors(4620)))
+
+
+@pytest.mark.parametrize("x", [2.0, 2.5, 1e3, 12345.6, 1e6, *_SLICE_EDGES])
+def test_decompose_bits_equal_the_per_term_oracle(shared_cache, tables_big,
+                                                  x):
+    # every field of the one sliced pass against one full-length pass per
+    # term, bit for bit
+    pp = tables_big.prime_powers
+    moduli = (_ORACLE_MODULI if x in (2.0, 2.5, 1e3, 12345.6)
+              else _LARGE_X_MODULI)
+    if x in _SLICE_EDGES:
+        x, moduli = float(pp[_SLICE_EDGES[x]]), divisors(4620)
+    edge = float(pp[CHUNK - 1])
+    for q in moduli:
+        if q > x:
+            break
+        for x_split in sorted({float(q), float(min(q * q, x)), x}
+                              | ({edge} if q <= edge <= x else set())):
+            got = decompose(q, x, x_split, tables_big, shared_cache)
+            want = _decompose_per_term(q, x, x_split, tables_big,
+                                       shared_cache)
+            assert _hex_fields(got) == _hex_fields(want), (q, x, x_split)
+
+
+@pytest.mark.parametrize("x", [2.0, 2.5, 1e4, 1e7])
+def test_gamma_q_from_prime_sums_bits_equal_the_oracle(tables_big, x):
+    # the criterion-6 moduli, and some above x
+    for q in (3, 4, 5, 7, 8, 9, 11, 12, 1009, 4620):
+        want = EULER_GAMMA - _proxy_average(q, x, tables_big)
+        got = gamma_q_from_prime_sums(q, x, tables_big)
+        assert got.hex() == want.hex(), (q, x)
 
 
 #: sha256 of the float.hex of every DecompositionReport field of

@@ -1,5 +1,6 @@
 """Structure of the library: one process pool, one route to conductor
-totals, one exact sum of a float array, one probe route from the CLI.
+totals, one exact sum of a float array, one probe route from the CLI, one
+pass of decomp over the prime powers.
 
 Every check reads the source of src/ekconst with ast. A name counts where it
 is loaded, that is called or passed as a value; imports, the strings of
@@ -81,3 +82,16 @@ def test_cli_probes_through_the_public_functions():
                and _name(node.value) == "experiments"}
     assert {"eh_probe", "residue_sum_checks"} <= loaded
     assert {name for name in loaded if name.startswith("_")} == {"_g"}
+
+
+def test_decomp_reads_the_prime_powers_once():
+    # every long sum of decomp comes from _prime_power_pass: only it reads
+    # the prime-power tables and takes residues, and only the ramified
+    # helper reads Lambda at single prime powers
+    readers = {"_prefix", "residues", "prime_powers", "prime_power_logs"}
+    sites = {(scope, _name(node)) for module, scope, node in _scoped_nodes()
+             if module == "decomp"
+             and _name(node) in readers | {"_lambda_of"}}
+    assert sites == {("_prime_power_pass", "_prefix"),
+                     ("_prime_power_pass", "residues"),
+                     ("_ramified_powers", "_lambda_of")}
