@@ -49,8 +49,11 @@ def _err(message: str) -> None:
     print(f"ekconst: error: {message}", file=sys.stderr)
 
 
-def _open_cache(cache_dir) -> ConductorCache:
-    return ConductorCache(ConductorCache.default_path(cache_dir))
+def _open_cache(args) -> ConductorCache:
+    """The cache of --cache-dir at the precision of --em-terms, which it
+    checks."""
+    return ConductorCache(ConductorCache.default_path(args.cache_dir),
+                          n_terms=args.em_terms)
 
 
 def _workers(args) -> int:
@@ -73,8 +76,8 @@ def _check_capacity(x: float) -> None:
 def cmd_gamma(args) -> int:
     if args.q < 1:
         raise ValueError(f"q must be >= 1, got {args.q}")
-    cache = _open_cache(args.cache_dir)
-    result = gamma_q(args.q, cache, args.em_terms)
+    cache = _open_cache(args)
+    result = gamma_q(args.q, cache)
     cache.save()
     log_q = math.log(args.q)
     ratio = result.value / log_q if log_q > 0.0 else math.nan
@@ -107,9 +110,9 @@ def cmd_decompose(args) -> int:
     if x_split > x and args.e is not None:
         raise ValueError(f"x_split = q^e = {_g(x_split)} exceeds x = {_g(x)}")
     x_split = float(min(max(q, x_split), x))    # the default clamps to x
+    cache = _open_cache(args)       # rejects a bad depth before the sieve
     tables = build_tables(math.ceil(x))
-    cache = _open_cache(args.cache_dir)
-    report = decompose(q, x, x_split, tables, cache, args.em_terms)
+    report = decompose(q, x, x_split, tables, cache)
     cache.save()
     print(f"# ekconst decompose q={q} x={_g(x)} x_split={_g(x_split)} "
           f"em_terms={args.em_terms} "
@@ -127,8 +130,8 @@ def cmd_scan(args) -> int:
     if args.Q < 2:
         raise ValueError(f"Q must be >= 2, got {args.Q}")
     workers = _workers(args)
-    cache = _open_cache(args.cache_dir)
-    records = scan_range(args.Q, cache, args.em_terms, workers)
+    cache = _open_cache(args)
+    records = scan_range(args.Q, cache, workers)
     cache.save()
     stat = theorem_statistic(records)
     mean_stat = dyadic_mean(records, args.Q)

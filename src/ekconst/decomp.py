@@ -90,7 +90,7 @@ from .accum import CHUNK, fixed_sum, fsum_array, round_fixed
 from .ekgamma import ConductorCache, gamma_q
 from .sieve import (ArithmeticTables, _lambda_of, _prefix, divisors,
                     factorize, mobius, residues, totient)
-from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
+from .stieltjes import EULER_GAMMA
 
 
 @dataclass(frozen=True)
@@ -321,13 +321,13 @@ def gamma_q_from_prime_sums(q: int, x: float,
 
 
 def decompose(q: int, x: float, x_split: float, tables: ArithmeticTables,
-              cache: ConductorCache | None = None,
-              n_terms: int = DEFAULT_EM_TERMS) -> DecompositionReport:
-    """Evaluate all seven terms and the residual of the exact identity."""
+              cache: ConductorCache | None = None) -> DecompositionReport:
+    """Evaluate all seven terms and the residual of the exact identity, with
+    the conductor totals of the cache's precision tag."""
     _check_window(q, x, x_split, tables)
     if cache is None:
         cache = ConductorCache()
-    lhs = gamma_q(q, cache, n_terms).value
+    lhs = gamma_q(q, cache).value
     # the windows [1, q], [q, x_split], [x_split, x]; an empty one is given
     # no prime power, and its sum is 0.0
     windows = [(hi if lo < hi else 0.0,
@@ -336,7 +336,7 @@ def decompose(q: int, x: float, x_split: float, tables: ArithmeticTables,
                               (float(x_split), float(x)))]
     average, (g2, w1, w2, w3) = _prime_power_pass(
         q, x, tables, [(x, functools.partial(_log_ratio, x)), *windows])
-    a_val = math.fsum(cache.fill(divisors(q)[1:], n_terms) + [average])
+    a_val = math.fsum(cache.fill(divisors(q)[1:]) + [average])
     b_val = conductor_correction(q, x, tables)
     g3 = ramified_term(q, x, tables)
     # the identity's correction term is the collapsed one plus the ramified

@@ -18,11 +18,14 @@ rather than per conductor. characters.conductor_grid picks the primitive
 characters. A per-character scalar route in the test suite cross-checks the
 DFT.
 
-ConductorCache.fill(qs, n_terms, workers) is the library's one route from
+ConductorCache.fill(qs, workers) is the library's one route from
 conductors to totals: gamma_q, decompose and scan_range all read their
-totals through it, as a list of floats. It computes the conductors the
-cache lacks with conductor_totals and stores them; with workers > 1 they go
-through _map_chunks, the library's one process pool, in interleaved chunks.
+totals through it, as a list of floats. A cache object holds one precision
+tag, named by the Euler-Maclaurin depth it is built with; it reads and
+fills that tag alone, so no other function takes a depth. It computes the
+conductors the cache lacks with conductor_totals and stores them; with
+workers > 1 they go through _map_chunks, the library's one process pool, in
+interleaved chunks.
 The probe maps its chains of levels through the same pool. The cache holds
 each row as a (total, imag_residual) float pair under its (q, tag) key, so
 a load and a warm fill build no object per row; get, records and verify
@@ -256,6 +259,10 @@ class CacheCorruption(ValueError):
 class ConductorCache:
     """File-backed memo of conductor totals, keyed by (q, precision tag).
 
+    A cache object has one tag, precision_tag(n_terms), fixed and checked
+    when it is built: get and fill read and compute rows of that tag only.
+    Rows of other tags are loaded, merged and saved with the rest.
+
     Each row is held as the float pair (total, imag_residual) under its
     key, so loading a file and a warm fill build no object per row; get,
     records and verify return ConductorTotal rows built from the pairs, and
@@ -278,7 +285,9 @@ class ConductorCache:
     """
 
     def __init__(self, path: str | os.PathLike | None = None, *,
-                 load: bool = True) -> None:
+                 n_terms: int = DEFAULT_EM_TERMS, load: bool = True) -> None:
+        self.tag = precision_tag(n_terms)
+        self.n_terms = n_terms
         self.path = Path(path) if path is not None else None
         # (q, tag) -> (total, imag_residual)
         self._data: dict[tuple[int, str], tuple[float, float]] = {}
@@ -291,9 +300,9 @@ class ConductorCache:
     @classmethod
     def default_path(cls, cache_dir: str | os.PathLike | None = None) -> Path:
         if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV_VAR)
-        if cache_dir is None:
-            cache_dir = Path.home() / ".cache" / "ekconst"
+            # an empty value reads as unset, as XDG_CACHE_HOME does
+            cache_dir = (os.environ.get(CACHE_ENV_VAR)
+                         or Path.home() / ".cache" / "ekconst")
         return Path(cache_dir) / CACHE_FILE_NAME
 
     def _read_file(self) -> tuple[dict, tuple | None]:
@@ -361,10 +370,9 @@ class ConductorCache:
             out[key] = (total, imag)
         return out
 
-    def get(self, q: int, n_terms: int = DEFAULT_EM_TERMS) -> ConductorTotal | None:
-        tag = precision_tag(n_terms)
-        pair = self._data.get((q, tag))
-        return None if pair is None else ConductorTotal(q, *pair, tag)
+    def get(self, q: int) -> ConductorTotal | None:
+        pair = self._data.get((q, self.tag))
+        return None if pair is None else ConductorTotal(q, *pair, self.tag)
 
     def records(self) -> list[ConductorTotal]:
         """All cached totals, sorted by (conductor, tag)."""
@@ -378,21 +386,20 @@ class ConductorCache:
                 self._data[key] = pair
                 self._dirty = True
 
-    def fill(self, qs, n_terms: int = DEFAULT_EM_TERMS,
-             workers: int | None = 1) -> list[float]:
-        """The totals of the conductors qs, in their order. Those the cache
-        lacks are computed by conductor_totals, in ascending order, and
-        stored: as one batch, or with workers > 1 as interleaved batches in
-        the pool of _map_chunks. conductor_totals is elementwise, so the
-        totals are the same bit for bit either way."""
+    def fill(self, qs, workers: int | None = 1) -> list[float]:
+        """The totals of the conductors qs under the cache's tag, in their
+        order. Those the cache lacks are computed by conductor_totals at
+        the cache's depth, in ascending order, and stored: as one batch, or
+        with workers > 1 as interleaved batches in the pool of _map_chunks.
+        conductor_totals is elementwise, so the totals are the same bit for
+        bit either way."""
         qs = list(qs)
-        tag = precision_tag(n_terms)
-        found = [self._data.get((q, tag)) for q in qs]
+        found = [self._data.get((q, self.tag)) for q in qs]
         missing = sorted({q for q, pair in zip(qs, found) if pair is None})
         if not missing:
             return [pair[0] for pair in found]
         fresh = {}
-        for rec in _map_chunks(partial(conductor_totals, n_terms=n_terms),
+        for rec in _map_chunks(partial(conductor_totals, n_terms=self.n_terms),
                                missing, workers):
             self.put(rec)
             fresh[rec.q] = rec.total
@@ -509,17 +516,17 @@ def _totals(rows) -> list[ConductorTotal]:
             for (q, tag), (total, imag) in rows]
 
 
-def gamma_q(q: int, cache: ConductorCache | None = None,
-            n_terms: int = DEFAULT_EM_TERMS) -> GammaQ:
-    """Euler-Kronecker constant of the q-th cyclotomic field."""
+def gamma_q(q: int, cache: ConductorCache | None = None) -> GammaQ:
+    """Euler-Kronecker constant of the q-th cyclotomic field, at the
+    precision tag of the cache."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if cache is None:
         cache = ConductorCache()
     # the conductors d > 1 of q are its divisors
-    terms = [EULER_GAMMA] + cache.fill(divisors(q)[1:], n_terms)
+    terms = [EULER_GAMMA] + cache.fill(divisors(q)[1:])
     # one unit per phi(d) over the conductors d, and those phi(d) add up
     # to q - 1
     return GammaQ(q=q, value=math.fsum(terms),
                   err_estimate=(q - 1) * PER_CHARACTER_ERR,
-                  tag=precision_tag(n_terms))
+                  tag=cache.tag)

@@ -29,7 +29,7 @@ from .accum import fsum_array
 from .ekgamma import ConductorCache, _map_chunks
 from .sieve import (ArithmeticTables, _higher_powers, _lambda_of, _prefix,
                     coprime_mask, factorize, psi, residues)
-from .stieltjes import DEFAULT_EM_TERMS, EULER_GAMMA
+from .stieltjes import EULER_GAMMA
 
 SCAN_HEADER = "q,gamma_q,log_q,ratio,abs_dev"
 PROBE_HEADER = "x,epsilon,m_max,total"
@@ -85,16 +85,16 @@ class MeanStatistic:
 
 
 def scan_range(block: int, cache: ConductorCache | None = None,
-               n_terms: int = DEFAULT_EM_TERMS,
                workers: int | None = 1) -> list[ScanRecord]:
     """One record per q in (block, 2*block], ascending.
 
     The conductors of the block are exactly 2..2*block: d > block is a q of
     the block itself, and d <= block has a multiple in it. One
-    cache.fill(conductors, n_terms, workers) gives their totals, the one
-    route to them: it computes those the cache lacks, with workers > 1 in
-    interleaved batches in a pool of min(workers, cores) processes. A warm
-    cache computes nothing and factors no q.
+    cache.fill(conductors, workers) gives their totals under the cache's
+    precision tag, the one route to them: it computes those the cache
+    lacks, with workers > 1 in interleaved batches in a pool of
+    min(workers, cores) processes. A warm cache computes nothing and
+    factors no q.
 
     Each total then goes to the q of the block that are multiples of its
     conductor, and gamma_q is one math.fsum of gamma and those terms: the
@@ -107,7 +107,7 @@ def scan_range(block: int, cache: ConductorCache | None = None,
         cache = ConductorCache()
     top = 2 * block
     conductors = range(2, top + 1)
-    totals = cache.fill(conductors, n_terms, workers)
+    totals = cache.fill(conductors, workers)
     terms = [[EULER_GAMMA] for _ in range(block)]    # terms[q - block - 1]
     for d, total in zip(conductors, totals):
         # the multiples of d in (block, top], from the first above block

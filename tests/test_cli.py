@@ -85,6 +85,40 @@ def test_gamma_persists_cache(tmp_path, capsys):
     assert [int(r.split(",")[0]) for r in rows] == [2, 3, 4, 6, 12]
 
 
+#: sha256 of (stdout with the cache directory written {tmp}, cache file
+#: bytes) after each --em-terms 50 command, run in this order on a cache
+#: that already holds the em16 rows of `gamma 45` and `scan 64`; frozen
+#: before the depth became a property of the cache object.
+EM50_DIGESTS = [
+    (("gamma", "45", "--em-terms", "50"),
+     "32a87959cfe7873c10daef48b0e1c055f9bfc6277aad3651a31264ab8da7942b",
+     "a7e7b5c95ea548d4e08d45cc3ae9207673b28fb1164907121a6bece5098676e6"),
+    (("decompose", "45", "--x", "1e4", "--em-terms", "50"),
+     "3c2c0375ede4ea15e6fa427ee03bfdaac20dce7361e09e971e22f86e42f4c784",
+     "a7e7b5c95ea548d4e08d45cc3ae9207673b28fb1164907121a6bece5098676e6"),
+    (("scan", "64", "--em-terms", "50", "--workers", "1"),
+     "4752d90bcdb29f6a19c3fdeb30750b68788e04148c44d0ed6113db542fc1604c",
+     "f68e14ed821b634e13ef764f3b386090d8ed051bd3eed5b68e4bfa179bab0faa"),
+]
+
+
+def test_non_default_tag_end_to_end(tmp_path, capsys):
+    # em50 rows are added next to the em16 ones, and every output and the
+    # file they leave are the same bytes as before
+    cache_dir = str(tmp_path)
+    for argv in (("gamma", "45"), ("scan", "64", "--workers", "1")):
+        assert _run(capsys, *argv, "--cache-dir", cache_dir)[0] == EXIT_OK
+    got = []
+    for argv, _, _ in EM50_DIGESTS:
+        code, out, _ = _run(capsys, *argv, "--cache-dir", cache_dir)
+        assert code == EXIT_OK, argv
+        out = out.replace(cache_dir, "{tmp}").encode()
+        got.append((argv, hashlib.sha256(out).hexdigest(),
+                    hashlib.sha256((tmp_path / "conductors.csv")
+                                   .read_bytes()).hexdigest()))
+    assert got == EM50_DIGESTS
+
+
 # -------------------------------------------------------------- decompose
 
 
@@ -199,6 +233,19 @@ def test_decompose_1e8_output_and_peak_rss(tmp_path):
             == DECOMPOSE_1E8_DIGEST), done.stdout.decode()
     peak_mb = int(done.stderr.split()[-1]) / 1024
     assert peak_mb < DECOMPOSE_1E8_MAX_RSS_MB, peak_mb
+
+
+def test_decompose_rejects_the_depth_before_the_sieve(tmp_path, capsys,
+                                                     monkeypatch):
+    # the cache checks --em-terms when it is opened, before the tables to
+    # x are built
+    def refuse(n):
+        raise AssertionError(f"tables to {n} built")
+    monkeypatch.setattr(cli, "build_tables", refuse)
+    code, out, err = _run(capsys, "decompose", "45", "--x", "1e8",
+                          "--em-terms", "5", "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (
+        EXIT_USAGE, "", "ekconst: error: n_terms must be >= 10, got 5\n")
 
 
 _SIEVED = [

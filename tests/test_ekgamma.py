@@ -67,8 +67,9 @@ def test_gamma_q_is_sum_over_conductors(shared_cache):
 class _ZeroTotals:
     # stands in for the cache: every conductor total is 0, so gamma_q
     # costs no special-function work
-    def fill(self, qs, n_terms):
-        precision_tag(n_terms)
+    tag = precision_tag(DEFAULT_EM_TERMS)
+
+    def fill(self, qs):
         return [0.0 for q in qs]
 
 
@@ -146,17 +147,17 @@ def test_conductor_totals_honours_em_terms():
 
 
 @pytest.mark.parametrize("qs", [[1], [2], [6, 10], [4]])
-def test_too_few_em_terms_rejected_on_every_path(qs):
+def test_too_few_em_terms_rejected_on_every_path(qs, tmp_path):
     # conductors 1 and 2 mod 4 make no Euler-Maclaurin call, and still
-    # reject the precision they were asked for
+    # reject the precision they were asked for; a cache rejects it when it
+    # is built, before it reads its file
     with pytest.raises(ValueError, match="n_terms must be >= 10, got 5"):
         conductor_totals(qs, n_terms=5)
-    cache = ConductorCache(path=None)
-    with pytest.raises(ValueError, match="n_terms must be >= 10, got 5"):
-        cache.fill(qs, n_terms=5)
-    with pytest.raises(ValueError, match="n_terms must be >= 10, got 5"):
-        gamma_q(qs[-1], cache, n_terms=5)
-    assert len(cache) == 0
+    path = tmp_path / "conductors.csv"
+    path.write_text("garbage\n", encoding="ascii")
+    for where in (None, path):
+        with pytest.raises(ValueError, match="n_terms must be >= 10, got 5"):
+            ConductorCache(where, n_terms=5)
 
 
 def test_conductor_totals_block_boundaries(monkeypatch):
@@ -210,10 +211,10 @@ def test_cache_round_trip_is_bit_exact(tmp_path):
     for rec in _sample_records():
         cache.put(rec)
     cache.save()
-    reloaded = ConductorCache(path)
+    reloaded = ConductorCache(path, n_terms=50)
     assert len(reloaded) == 2
     for rec in _sample_records():
-        got = reloaded.get(rec.q, n_terms=50)
+        got = reloaded.get(rec.q)
         assert got == rec  # dataclass equality: floats must be identical
 
 
@@ -251,14 +252,38 @@ def test_cache_fill_reuses(tmp_path, monkeypatch):
 
 
 def test_cache_distinguishes_precision_tags(tmp_path):
-    cache = ConductorCache(tmp_path / "c.csv")
-    (a,) = cache.fill([7], n_terms=30)
-    (b,) = cache.fill([7], n_terms=50)
-    rec_a, rec_b = cache.get(7, n_terms=30), cache.get(7, n_terms=50)
-    assert rec_a.tag == "em30" and rec_b.tag == "em50"
-    assert a.hex() == rec_a.total.hex()
-    assert b.hex() == rec_b.total.hex()
-    assert len(cache) == 2
+    path = tmp_path / "c.csv"
+    em30 = ConductorCache(path, n_terms=30)
+    (a,) = em30.fill([7])
+    em30.save()
+    em50 = ConductorCache(path, n_terms=50)
+    assert em50.get(7) is None          # the em30 row is not em50's
+    (b,) = em50.fill([7])
+    assert (em30.tag, em50.tag) == ("em30", "em50")
+    rec_a, rec_b = em50.records()
+    assert (rec_a.tag, rec_b.tag) == ("em30", "em50")
+    assert a.hex() == rec_a.total.hex() == em30.get(7).total.hex()
+    assert b.hex() == rec_b.total.hex() == em50.get(7).total.hex()
+    assert len(em50) == 2
+
+
+def test_caches_of_two_tags_keep_each_others_rows(tmp_path):
+    # two cache objects of different tags over one file, saving in turn:
+    # each save merges the rows the other saved since
+    path = tmp_path / "conductors.csv"
+    em16, em50 = ConductorCache(path), ConductorCache(path, n_terms=50)
+    for qs in ([3, 4], [5], [3, 7]):
+        for cache in (em16, em50):
+            cache.fill(qs)
+            cache.save()
+    want = [(q, tag) for q in (3, 4, 5, 7) for tag in ("em16", "em50")]
+    # em50 saved last, so its merge holds every row of the file
+    for cache in (em50, ConductorCache(path)):
+        assert [(r.q, r.tag) for r in cache.records()] == want
+    fresh = {tag: conductor_totals([3, 4, 5, 7], int(tag[2:]))
+             for tag in ("em16", "em50")}
+    for cache in (em16, em50):
+        assert [cache.get(q) for q in (3, 4, 5, 7)] == fresh[cache.tag]
 
 
 def _swap_data_rows(text):
@@ -330,8 +355,8 @@ def test_cache_edge_rows_round_trip_bit_exact(tmp_path, newline):
     for cache in (loaded, reloaded):
         assert bits(cache.records()) == want
         assert bits(cache.verify()) == want
-        assert bits(cache.get(q, int(tag[2:])) for q, _, _, tag in want) \
-            == want
+        assert bits(ConductorCache(cache.path, n_terms=int(tag[2:])).get(q)
+                    for q, _, _, tag in want) == want
 
 
 @pytest.mark.parametrize("defect", ["", "4,nan,0.0,em16\n"])
@@ -392,10 +417,10 @@ def test_warm_load_and_scan_build_no_conductor_totals(tmp_path, monkeypatch):
     monkeypatch.setattr(ekgamma, "conductor_totals", _refuse_totals)
     cache = ConductorCache(path)
     assert len(cache) == 4095
-    records = scan_range(2048, cache, n_terms=16)
+    records = scan_range(2048, cache)
     assert len(records) == 2048
     assert built == []
-    assert cache.get(4096, 16).total == 1.0 / 4096
+    assert cache.get(4096).total == 1.0 / 4096
     assert built == [4096]      # the wrapper sees a row object being built
 
 
@@ -518,8 +543,8 @@ def test_cache_save_without_new_rows_takes_no_lock(tmp_path, monkeypatch):
     def refuse(fd, op):
         raise AssertionError("flock taken by a save with no new rows")
     monkeypatch.setattr(ekgamma.fcntl, "flock", refuse)
-    warm = ConductorCache(path)
-    warm.fill([3], n_terms=50)
+    warm = ConductorCache(path, n_terms=50)
+    warm.fill([3])
     warm.save()
     cache.save()
     assert path.stat().st_mtime_ns == stamp
@@ -571,3 +596,21 @@ def test_default_path_env_override(tmp_path, monkeypatch):
     assert p == tmp_path / "override" / "conductors.csv"
     monkeypatch.delenv(CACHE_ENV_VAR)
     assert "ekconst" in str(ConductorCache.default_path())
+
+
+def test_empty_cache_env_reads_as_unset(tmp_path, capsys, monkeypatch):
+    # as XDG_CACHE_HOME: an empty value is not the current directory
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(work)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    unset = ConductorCache.default_path()
+    monkeypatch.setenv(CACHE_ENV_VAR, "")
+    assert ConductorCache.default_path() == unset == (
+        home / ".cache" / "ekconst" / "conductors.csv")
+    assert entry(["gamma", "5"]) == 0
+    assert f"cache={unset}" in capsys.readouterr().out
+    assert unset.exists() and list(work.iterdir()) == []
+    # an explicit directory is taken as given, also an empty one
+    assert ConductorCache.default_path("") == Path("conductors.csv")

@@ -1,6 +1,7 @@
 """Structure of the library: one process pool, one route to conductor
 totals, one exact sum of a float array, one probe route from the CLI, one
-pass of decomp over the prime powers.
+pass of decomp over the prime powers, precision known only where the
+conductor cache is built.
 
 Every check reads the source of src/ekconst with ast. A name counts where it
 is loaded, that is called or passed as a value; imports, the strings of
@@ -95,3 +96,14 @@ def test_decomp_reads_the_prime_powers_once():
     assert sites == {("_prime_power_pass", "_prefix"),
                      ("_prime_power_pass", "residues"),
                      ("_ramified_powers", "_lambda_of")}
+
+
+def test_only_the_cache_layers_know_the_depth():
+    # the depth of the special functions is a property of the conductor
+    # cache: cli builds the cache with it, ekgamma names its tag, and
+    # stieltjes evaluates at it; decomp and experiments pass a cache
+    depth = {"n_terms", "DEFAULT_EM_TERMS", "precision_tag"}
+    modules = {module for module, _, node in _scoped_nodes()
+               if isinstance(node, (ast.Name, ast.Attribute))
+               and _name(node) in depth}
+    assert modules == {"stieltjes", "ekgamma", "cli"}
