@@ -4,16 +4,17 @@ fsum_array sums a float array exactly and rounds once, without making a
 Python float per element. Each element is m * 2^e (np.frexp, 0.5 <= |m| < 1),
 and its 53-bit mantissa splits into two float64 integers: the high part
 trunc(m * 2^27) and the low part (m * 2^27 - high) * 2^26. Over a chunk of
-CHUNK elements, one np.bincount per part by exponent gives bucket sums that
-float64 holds exactly (integers below 2^42 once the low part is scaled
-back by 2^26). The buckets of every chunk add up in int64 as one
-fixed-point integer in units of 2^-1126 (the smallest subnormal is
-2^-1074 = 0.5 * 2^-1073, its low part 2^-1126), and Python's int true
-division rounds that integer once, correctly and half to even. math.fsum
-also returns the correctly rounded exact sum, so the two give the same
-float bit for bit, whatever the order or the chunking. Input that is not
-finite, or large enough that math.fsum could overflow part way, goes to
-math.fsum itself, which keeps its result and its exceptions.
+CHUNK elements, one np.bincount per part by exponent, over the exponents
+the chunk holds, gives bucket sums that float64 holds exactly (integers
+below 2^42 once the low part is scaled back by 2^26). The buckets of
+every chunk add up in int64 as one fixed-point integer in units of
+2^-1126 (the smallest subnormal is 2^-1074 = 0.5 * 2^-1073, its low part
+2^-1126), and Python's int true division rounds that integer once,
+correctly and half to even. math.fsum also returns the correctly rounded
+exact sum, so the two give the same float bit for bit, whatever the order
+or the chunking. Input that is not finite, or large enough that
+math.fsum could overflow part way, goes to math.fsum itself, which keeps
+its result and its exceptions.
 
 fsum_array is the library's one exact sum of a float array, and it alone
 chooses the method: an array of fewer than _KERNEL_MIN elements goes to
@@ -35,25 +36,27 @@ import math
 import numpy as np
 
 #: Arrays of fewer elements are summed by math.fsum(arr.tolist()). On a
-#: 2-core x86-64 host (numpy 2.4), math.fsum against the kernel, in µs, on
-#: contiguous arrays and on strided .real views: 6-8 against 46-57 at 200
-#: elements, 69-71 against 58-77 at 1,600, 90-97 against 80-81 at 2,000,
-#: 146-205 against 90-91 at 4,000 and 860-960 against 150-180 at 18,000.
-#: The 6,142 conductor-total sums of a cold serial scan_range(2048), 1,048
-#: of them of 2,000 characters or more, took 308-326 ms with this cut,
-#: 296-359 ms with 4,096 or 8,192, 292-330 ms on math.fsum alone and
-#: 507-649 ms on the kernel alone.
+#: 2-core x86-64 host (numpy 2.4), math.fsum against the kernel, in µs
+#: (best of 7), on contiguous arrays and on strided .real views of
+#: log-derivative-like values: 8 against 42-43 at 200 elements, 42-45
+#: against 51 at 1,000, 48-52 against 50-52 at 1,200, 57-69 against 41-43
+#: at 1,600, 76-79 against 41-43 at 2,000 and 153-155 against 60-62 at
+#: 4,000. The 6,142 conductor-total sums of a cold serial scan_range(2048),
+#: 454 of them of 1,536 to 2,047 characters, took a median 299 ms with this
+#: cut and 288 ms with 1,536 (10 interleaved rounds, 1,536 lower in 8),
+#: 276-285 ms with 1,024 to 2,048 in 5 other rounds, and 422 ms on the
+#: kernel alone. A lower cut saves under 1% of the scan, so it stays.
 _KERNEL_MIN = 2048
 #: Elements per chunk. A bucket sums at most CHUNK high parts, integers
 #: below 2^27 in magnitude, or CHUNK low parts over 2^26, multiples of 2^-26
 #: below 1, so its float64 sum stays exact.
 CHUNK = 2**15
 
-#: Bucket of an element of exponent e: e + _E_OFFSET, which is 0 for the
+#: Index of exponent e in the totals: e + _E_OFFSET, which is 0 for the
 #: smallest subnormal; the largest finite exponent, 1024, is the last one.
 _E_OFFSET = 1073
 _BUCKETS = _E_OFFSET + 1025
-#: Consecutive elements go to LANES copies of the buckets in turn. Most
+#: Consecutive elements go to LANES copies of each bucket in turn. Most
 #: elements of an array share a few exponents, and bincount's additions into
 #: one bucket wait for each other; over four copies they overlap, which
 #: halves the time of a bincount.
@@ -70,21 +73,23 @@ _MAX_MAGNITUDE = 1020
 
 
 @functools.cache
-def _lane_buckets() -> np.ndarray:
-    """Bucket offset of each position of a chunk: its lane's first bucket
-    plus _E_OFFSET. Built on first use, so a process that never sums an
-    array does not hold it."""
-    offsets = np.tile(np.arange(_LANES) * _BUCKETS + _E_OFFSET,
-                      CHUNK // _LANES)
-    offsets.flags.writeable = False
-    return offsets
+def _lanes() -> np.ndarray:
+    """Lane of each position of a chunk, 0 to _LANES - 1 in turn. Built on
+    first use, so a process that never sums an array does not hold it."""
+    lanes = np.tile(np.arange(_LANES, dtype=np.intp), CHUNK // _LANES)
+    lanes.flags.writeable = False
+    return lanes
 
 
 def fixed_sum(arr: np.ndarray) -> int | None:
     """The exact sum of a 1-D float64 array as an integer number of units
     2^-1126 (round_fixed turns it into the float), or None when an element
     is not finite or the elements may be large enough for math.fsum to
-    overflow part way."""
+    overflow part way.
+
+    A chunk whose exponents run from lo to hi has _LANES copies of the
+    hi - lo + 1 buckets of its own range, so the cost of a chunk follows
+    its exponent range rather than the 2,098 exponents of float64."""
     n = len(arr)
     size = min(n, CHUNK)
     mant = np.empty(size)
@@ -93,8 +98,9 @@ def fixed_sum(arr: np.ndarray) -> int | None:
     bucket = np.empty(size, dtype=np.intp)
     # totals[j] counts units of 2^(j - _SCALE); int64 holds 2^21 chunks
     totals = np.zeros(_BUCKETS + _LOW_BITS, dtype=np.int64)
-    e_max = -_E_OFFSET
-    lanes = _lane_buckets()
+    # the exponents seen, and 0; the buckets read at the end span them
+    e_min = e_max = 0
+    lanes = _lanes()
     for start in range(0, n, CHUNK):
         chunk = arr[start:start + CHUNK]
         k = len(chunk)
@@ -102,28 +108,37 @@ def fixed_sum(arr: np.ndarray) -> int | None:
         np.frexp(chunk, out=(m, e))
         np.multiply(m, 2.0**27, out=m)
         np.trunc(m, out=h)
-        np.add(e, lanes[:k], out=b)
-        e_max = max(e_max, int(e.max()))
-        high_sums = np.bincount(b, weights=h, minlength=_LANES * _BUCKETS)
+        lo, hi = int(e.min()), int(e.max())
+        e_min, e_max = min(e_min, lo), max(e_max, hi)
+        width = hi - lo + 1
+        # bucket lane * width + e - lo
+        np.multiply(lanes[:k], width, out=b)
+        b += e
+        b -= lo
+        high_sums = np.bincount(b, weights=h, minlength=_LANES * width)
         # inf or nan input leaves an inf or nan high part in its bucket
         if not np.isfinite(high_sums).all():
             return None
         np.subtract(m, h, out=m)         # the low part over 2^26
-        low_sums = np.bincount(b, weights=m, minlength=_LANES * _BUCKETS)
+        low_sums = np.bincount(b, weights=m, minlength=_LANES * width)
         low_sums *= 2.0**_LOW_BITS
-        totals[_LOW_BITS:] += _fold_lanes(high_sums)
-        totals[:_BUCKETS] += _fold_lanes(low_sums)
+        first = lo + _E_OFFSET
+        totals[first + _LOW_BITS:first + _LOW_BITS + width] += (
+            _fold_lanes(high_sums))
+        totals[first:first + width] += _fold_lanes(low_sums)
     if e_max + n.bit_length() > _MAX_MAGNITUDE:
         return None
-    nonzero = np.flatnonzero(totals)
+    first = e_min + _E_OFFSET
+    span = totals[first:e_max + _E_OFFSET + _LOW_BITS + 1]
+    nonzero = np.flatnonzero(span)
     return sum(v << j for j, v in zip(nonzero.tolist(),
-                                      totals[nonzero].tolist()))
+                                      span[nonzero].tolist())) << first
 
 
 def _fold_lanes(sums: np.ndarray) -> np.ndarray:
     """Bucket sums of a chunk with the lanes added up, as int64: integers
     below 2^42, exact in float64."""
-    return sums.reshape(_LANES, _BUCKETS).sum(axis=0).astype(np.int64)
+    return sums.reshape(_LANES, -1).sum(axis=0).astype(np.int64)
 
 
 def round_fixed(total: int) -> float:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from dataclasses import asdict
 
 from .decomp import decompose
-from .ekgamma import CacheCorruption, ConductorCache, gamma_q
+from .ekgamma import (CacheCorruption, ConductorCache, _core_count,
+                      gamma_q)
 from .experiments import (FORMATS, _g, dyadic_mean, eh_probe, emit, render,
                           residue_sum_checks, scan_range, theorem_statistic)
 from .sieve import MAX_TABLE_BOUND, build_tables
@@ -57,9 +57,9 @@ def _open_cache(args) -> ConductorCache:
 
 
 def _workers(args) -> int:
-    """--workers, defaulting to the core count; at least 1."""
-    workers = args.workers if args.workers is not None else (os.cpu_count()
-                                                             or 1)
+    """--workers, defaulting to the cores this process may run on; at
+    least 1."""
+    workers = args.workers if args.workers is not None else _core_count()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
@@ -223,7 +223,7 @@ def _add_cache_options(sub) -> None:
 
 def _add_workers_option(sub, what: str) -> None:
     sub.add_argument("--workers", type=int, default=None,
-                     help=f"parallel {what} workers (default: cpu count)")
+                     help=f"parallel {what} workers (default: usable cores)")
 
 
 class _Parser(argparse.ArgumentParser):

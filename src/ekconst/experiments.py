@@ -92,8 +92,8 @@ def scan_range(block: int, cache: ConductorCache | None = None,
     the block itself, and d <= block has a multiple in it. One
     cache.fill(conductors, workers) gives their totals under the cache's
     precision tag, the one route to them: it computes those the cache
-    lacks, with workers > 1 in interleaved batches in a pool of
-    min(workers, cores) processes. A warm cache computes nothing and
+    lacks, with workers > 1 in a pool of min(workers, cores) processes,
+    in chunks of about the same cost. A warm cache computes nothing and
     factors no q.
 
     Each total then goes to the q of the block that are multiples of its
@@ -307,7 +307,7 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     psi(x) and the residue base and weights (_weights_upto, slices of the
     prime-power table) are read once per call, about 14 ms at x = 1e7 on
     the primes base. With workers > 1 the chains, which are independent,
-    run in interleaved chunks in the library's one pool
+    run in round-robin chunks in the library's one pool
     (ekgamma._map_chunks), of min(workers, cores) processes that receive
     the residue base, the weights and psi(x) once each. Each chain does the
     same arithmetic as in the serial loop and the total is summed in

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ekconst import (build_tables, cli, decompose, experiments,
+from ekconst import (build_tables, cli, decompose, ekgamma, experiments,
                      parse_scan_csv)
 from ekconst.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                          entry)
@@ -390,7 +390,7 @@ def test_probe_workers_default_is_cpu_count(capsys):
     assert code == EXIT_OK
     header = out.splitlines()[0]
     assert header.startswith("# ekconst probe ")
-    assert f" workers={os.cpu_count() or 1} " in header
+    assert f" workers={ekgamma._core_count()} " in header
 
 
 def test_probe_worker_counts_byte_identical(tmp_path, capsys):

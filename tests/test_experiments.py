@@ -86,9 +86,11 @@ def test_scan_range_parallel_equals_serial():
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size and the
-    number of chunks, and maps in this process, so no process starts."""
+    number of chunks, and the chunks themselves, and maps in this process,
+    so no process starts."""
 
     made: list = []
+    chunks: list = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
@@ -104,15 +106,21 @@ class _RecordingPool:
     def map(self, fn, chunks):
         chunks = list(chunks)
         _RecordingPool.made.append((self.max_workers, len(chunks)))
+        _RecordingPool.chunks.extend(chunks)
         return [fn(c) for c in chunks]
+
+
+#: the library's core count, before recording_pool patches it
+_CORE_COUNT = ekgamma._core_count
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(ekgamma.concurrent.futures, "ProcessPoolExecutor",
                         _RecordingPool)
-    monkeypatch.setattr(ekgamma.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ekgamma, "_core_count", lambda: 2)
     _RecordingPool.made = []
+    _RecordingPool.chunks = []
     return _RecordingPool.made
 
 
@@ -131,8 +139,19 @@ def test_eh_probe_pool_capped_at_core_count(recording_pool, tables_small):
     assert pooled == serial
 
 
+def test_core_count_is_the_affinity_where_there_is_one(monkeypatch):
+    monkeypatch.setattr(ekgamma.os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    monkeypatch.setattr(ekgamma.os, "cpu_count", lambda: 64)
+    assert _CORE_COUNT() == 1
+    monkeypatch.delattr(ekgamma.os, "sched_getaffinity")
+    assert _CORE_COUNT() == 64
+
+
 def test_unknown_core_count_runs_serially(recording_pool, monkeypatch,
                                           tables_small):
+    monkeypatch.setattr(ekgamma, "_core_count", _CORE_COUNT)
+    monkeypatch.delattr(ekgamma.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(ekgamma.os, "cpu_count", lambda: None)
     scan_range(12, ConductorCache(path=None), workers=8)
     eh_probe(1e4, 0.5, tables_small, workers=8)
@@ -156,6 +175,46 @@ def test_fill_pooled_stores_the_serial_rows():
         return [(r.q, r.total.hex(), r.imag_residual.hex(), r.tag)
                 for r in recs]
     got = [t.hex() for t in pooled.fill(qs, workers=2)]
+    want = [t.hex() for t in serial.fill(qs, workers=1)]
+    assert got == want == [serial.get(q).total.hex() for q in qs]
+    assert bits(pooled.records()) == bits(serial.records())
+
+
+def _fill_cost(q):
+    """The cost model of a cold fill, in unit points: phi(q) plus 250 for a
+    conductor with primitive characters, nothing for one without."""
+    return 0 if q == 1 or q % 4 == 2 else sieve.totient(q) + 250
+
+
+@pytest.mark.parametrize("cores", [2, 3, 4])
+def test_cold_fill_chunks_cost_the_same(recording_pool, monkeypatch, cores):
+    monkeypatch.setattr(ekgamma, "_core_count", lambda: cores)
+    monkeypatch.setattr(
+        ekgamma, "conductor_totals",
+        lambda qs, n_terms: [ekgamma.ConductorTotal(q, 0.0, 0.0, "stub")
+                             for q in qs])
+    scan_range(2048, ConductorCache(path=None), workers=cores)
+    chunks = _RecordingPool.chunks
+    assert recording_pool == [(cores, cores * ekgamma.CHUNKS_PER_WORKER)]
+    assert sorted(q for c in chunks for q in c) == list(range(2, 4097))
+    costs = [sum(map(_fill_cost, c)) for c in chunks]
+    # within one conductor's cost of each other; the ascending order of
+    # the conductors dealt round robin gave max / mean = 1.56 at 2 cores
+    assert max(costs) - min(costs) <= max(map(_fill_cost, range(2, 4097)))
+    assert all(any(_fill_cost(q) for q in c) for c in chunks)
+
+
+@pytest.mark.parametrize("cores", [3, 4])
+def test_fill_pooled_at_other_strides(recording_pool, monkeypatch, cores):
+    monkeypatch.setattr(ekgamma, "_core_count", lambda: cores)
+    qs = [97, 5, 720, *range(1, 30), 12, 5]    # unsorted, repeated
+    serial, pooled = ConductorCache(path=None), ConductorCache(path=None)
+
+    def bits(recs):
+        return [(r.q, r.total.hex(), r.imag_residual.hex(), r.tag)
+                for r in recs]
+    got = [t.hex() for t in pooled.fill(qs, workers=cores)]
+    assert recording_pool == [(cores, cores * ekgamma.CHUNKS_PER_WORKER)]
     want = [t.hex() for t in serial.fill(qs, workers=1)]
     assert got == want == [serial.get(q).total.hex() for q in qs]
     assert bits(pooled.records()) == bits(serial.records())
