@@ -88,8 +88,8 @@ import numpy as np
 
 from .accum import CHUNK, fixed_sum, fsum_array, round_fixed
 from .ekgamma import ConductorCache, gamma_q
-from .sieve import (ArithmeticTables, _lambda_of, _prefix, divisors,
-                    factorize, mobius, residues, totient)
+from .sieve import (ArithmeticTables, _lambda_of, _prefix, _search,
+                    divisors, factorize, mobius, residues, totient)
 from .stieltjes import EULER_GAMMA
 
 
@@ -265,14 +265,14 @@ def _prime_power_pass(
     """
     pp, lg = _prefix(tables, x)
     phi = totient(q)
-    counts = [int(np.searchsorted(pp, math.floor(hi), side="right"))
+    counts = [int(_search(pp, math.floor(hi), side="right"))
               for hi, _ in terms]
     size = min(len(pp), CHUNK)
     out, tmp = np.empty(size), np.empty(size)
     quot = np.empty(size, dtype=pp.dtype)
     ramified = [(n, 1 - layer_weight(p, v, q))
                 for p, v, n, _ in _ramified_powers(q, x, tables)]
-    ram_at = np.searchsorted(pp, [n for n, _ in ramified])
+    ram_at = _search(pp, [n for n, _ in ramified])
     ram_factor = np.array([c for _, c in ramified], dtype=np.float64)
     full = [0] * len(terms)
     ones = [_ClassSum() for _ in terms]
@@ -288,7 +288,7 @@ def _prime_power_pass(
             if m > 0:
                 values = fill(n[:m], lam[:m], out[:m], tmp[:m])
                 full[i] += fixed_sum(values)
-                ones[i].add(values[at_one[:np.searchsorted(at_one, m)]])
+                ones[i].add(values[at_one[:_search(at_one, m)]])
         f = out[:k]
         np.subtract(x, n, out=f)
         np.multiply(lam, f, out=f)

@@ -2,15 +2,16 @@
 
 One segmented sieve yields the primes up to a bound: 2, then the odd
 primes a segment at a time, with one flag per odd number. build_tables()
-keeps them as compact ascending arrays: the primes, the prime powers, and
-log p at each prime power p^v (the von Mangoldt weight). These are what
-every downstream Lambda-weighted sum iterates over: _prefix gives the prime
-powers up to x with their weights, and _lambda_of reads Lambda at given
-prime powers. The streaming variants of psi and psi_mod run the same
-sieve but never keep more than one segment, so their memory stays
-O(STREAM_SEGMENT + sqrt x) and they reach beyond the table capacity; they
-add the exact sums of the segments as fixed-point integers
-(accum.fixed_sum) and round once.
+keeps them as compact ascending arrays: the primes and the prime powers as
+uint32, and log p at each prime power p^v (the von Mangoldt weight). These
+are what every downstream Lambda-weighted sum iterates over: _prefix gives
+the prime powers up to x with their weights, and _lambda_of reads Lambda at
+given prime powers. Every search of a table goes through _search, which
+casts its needle to the table's dtype. The streaming variants of psi and
+psi_mod run the same sieve, on int64 segments, but never keep more than
+one segment, so their memory stays O(STREAM_SEGMENT + sqrt x) and they
+reach beyond the table capacity; they add the exact sums of the segments
+as fixed-point integers (accum.fixed_sum) and round once.
 
 Everything that needs the factorization of a single integer (divisors,
 totient, Moebius, the prime factors of a modulus) goes through factorize().
@@ -29,9 +30,11 @@ import numpy as np
 from .accum import fixed_sum, fsum_array, round_fixed
 
 #: Hard cap on table construction; beyond this use the streaming functions.
-#: At the cap the tables take 132 MiB, and a process that builds them peaks
-#: at about 212 MiB RSS (measured with numpy 2.4 on x86-64).
+#: At the cap the tables take 88 MiB, and a process that builds them peaks
+#: at about 119 MiB RSS (measured with numpy 2.4 on x86-64). The cap stays
+#: below 2^32, so the primes and prime powers fit uint32.
 MAX_TABLE_BOUND = 100_000_000
+assert MAX_TABLE_BOUND < 2**32
 
 #: Odd numbers per segment of the sieve; a segment spans twice as many
 #: integers.
@@ -47,8 +50,8 @@ class ArithmeticTables:
     """Immutable compact prime tables on [0, bound]."""
 
     bound: int
-    primes: np.ndarray           # int64; ascending primes <= bound
-    prime_powers: np.ndarray     # int64; ascending prime powers p^v <= bound
+    primes: np.ndarray           # uint32; ascending primes <= bound
+    prime_powers: np.ndarray     # uint32; ascending prime powers p^v <= bound
     prime_power_logs: np.ndarray  # float64; Lambda = log p at prime_powers
 
 
@@ -66,15 +69,18 @@ def build_tables(bound: int) -> ArithmeticTables:
             "use psi_stream / psi_mod_stream for large arguments"
         )
     base = _small_primes(isqrt(bound)).tolist()
-    primes = np.concatenate(list(_segment_primes(bound, base,
-                                                 STREAM_SEGMENT)))
-    # log p at the primes and at the higher prime powers, which are
-    # inserted among the primes in ascending order in one pass
+    # each segment is narrowed as it arrives, so no int64 copy of all the
+    # primes is ever held
+    primes = np.concatenate([found.astype(np.uint32) for found
+                             in _segment_primes(bound, base, STREAM_SEGMENT)])
+    # the higher prime powers are inserted among the primes in ascending
+    # order in one pass; the one before primes[at[i]] lands at at[i] + i
     higher = sorted(_higher_powers(base, bound))
-    at = np.searchsorted(primes, [pv for pv, _ in higher])
+    at = _search(primes, [pv for pv, _ in higher])
     pp = np.insert(primes, at, [pv for pv, _ in higher])
-    pp_logs = np.insert(np.log(primes.astype(np.float64)), at,
-                        [logp for _, logp in higher])
+    # log p^v is written over with log p at the higher powers
+    pp_logs = np.log(pp, dtype=np.float64)
+    pp_logs[at + np.arange(at.size)] = [logp for _, logp in higher]
 
     for arr in (primes, pp, pp_logs):
         arr.flags.writeable = False
@@ -92,15 +98,26 @@ def _prefix(tables: ArithmeticTables,
     """The prime powers n <= x and Lambda(n) at them: the leading slices of
     tables.prime_powers and tables.prime_power_logs, views, not copies.
     The one search of the tables for the prime powers up to x."""
-    count = int(np.searchsorted(tables.prime_powers, math.floor(x),
-                                side="right"))
+    count = int(_search(tables.prime_powers, math.floor(x), side="right"))
     return tables.prime_powers[:count], tables.prime_power_logs[:count]
 
 
 def _lambda_of(tables: ArithmeticTables, n):
     """Lambda(n) read from the tables, for a prime power n <= tables.bound
     or an array of them."""
-    return tables.prime_power_logs[np.searchsorted(tables.prime_powers, n)]
+    return tables.prime_power_logs[_search(tables.prime_powers, n)]
+
+
+def _search(table: np.ndarray, needle, side: str = "left"):
+    """np.searchsorted(table, needle, side) with the needle, an integer or
+    integers that fit the table's dtype, cast to that dtype first.
+
+    A needle of another dtype, a Python int against a uint32 table or an
+    int64 array, makes numpy convert the whole table to a common dtype on
+    every call: about 0.6 ms against 2 us on a million uint32 elements.
+    """
+    return np.searchsorted(table, np.asarray(needle, dtype=table.dtype),
+                           side=side)
 
 
 def psi(tables: ArithmeticTables, x: float) -> float:
@@ -161,7 +178,16 @@ def residues(values: np.ndarray, m: int, quot: np.ndarray | None = None,
     buffers to reuse across calls; the residues are written to out, or over
     the quotients, so that without buffers the call allocates one array,
     as `%` does.
+
+    An m above the largest value of the dtype exceeds every value, which is
+    then its own residue: the values themselves are returned, or copied to
+    out. Such an m does not fit the dtype, and numpy would refuse it.
     """
+    if m > np.iinfo(values.dtype).max:
+        if out is None:
+            return values
+        np.copyto(out, values, casting="unsafe")
+        return out
     quot = np.floor_divide(values, m, out=quot)
     np.multiply(quot, m, out=quot)
     return np.subtract(values, quot, out=quot if out is None else out,

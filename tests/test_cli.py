@@ -2,8 +2,8 @@
 
 Everything drives entry() in-process with an isolated --cache-dir, matching
 exactly what the console script would do; one case runs `python -m ekconst`
-in a subprocess, and one runs `decompose 45 --x 1e8` in a fresh interpreter
-to read its peak RSS.
+in a subprocess, and `decompose 45 --x 1e8` and `probe 1e7 --epsilon 0.9`
+run in fresh interpreters to read their peak RSS.
 """
 import argparse
 import dataclasses
@@ -204,35 +204,68 @@ def test_decompose_sieves_up_to_x(tmp_path, capsys, shared_cache):
         assert _value(out, name) == want, name
 
 
+def _run_fresh(*argv):
+    """Run the CLI in a fresh interpreter that reports its own peak RSS
+    on stderr after the command; require exit code 0 and return the stdout
+    bytes and the peak RSS in MiB.
+
+    The peak is VmHWM (KiB) from /proc/self/status, the high-water mark of
+    the interpreter's own memory. ru_maxrss would carry over the peak of
+    the test process that forked it: inside the whole test module it read
+    111 MiB for a run that peaks at 53 MiB on its own.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = ("import sys\n"
+              "from ekconst.cli import entry\n"
+              "code = entry(sys.argv[1:])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(*[line.split()[1] for line in fh\n"
+              "            if line.startswith('VmHWM:')], file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, env=env, timeout=300)
+    assert done.returncode == EXIT_OK, done.stderr
+    return done.stdout, int(done.stderr.split()[-1]) / 1024
+
+
 #: sha256 of the stdout of `decompose 45 --x 1e8`, frozen before decompose
 #: read the prime powers in slices.
 DECOMPOSE_1E8_DIGEST = (
     "d54f51daeaff88e78308fda0a86e86910f89b7f16c6c07b0e3f927916291af9b")
 #: Peak RSS of that run in MiB. The tables to 1e8 alone bring a process to
-#: about 212 MiB; full-length temporaries of the long sums took it to 348.
+#: about 122 MiB (212 while they held int64 primes); full-length
+#: temporaries of the long sums took it to 348.
 DECOMPOSE_1E8_MAX_RSS_MB = 250
 
 
 def test_decompose_1e8_output_and_peak_rss(tmp_path):
-    # the CLI in a fresh interpreter that reports its own peak RSS (KiB on
-    # Linux) on stderr after the report
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    script = ("import resource, sys\n"
-              "from ekconst.cli import entry\n"
-              "code = entry(sys.argv[1:])\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
-              " file=sys.stderr)\n"
-              "sys.exit(code)\n")
-    done = subprocess.run(
-        [sys.executable, "-c", script, "decompose", "45", "--x", "1e8",
-         "--cache-dir", str(tmp_path)],
-        capture_output=True, env=env, timeout=300)
-    assert done.returncode == EXIT_OK, done.stderr
-    assert (hashlib.sha256(done.stdout).hexdigest()
-            == DECOMPOSE_1E8_DIGEST), done.stdout.decode()
-    peak_mb = int(done.stderr.split()[-1]) / 1024
+    out, peak_mb = _run_fresh("decompose", "45", "--x", "1e8",
+                              "--cache-dir", str(tmp_path))
+    assert (hashlib.sha256(out).hexdigest()
+            == DECOMPOSE_1E8_DIGEST), out.decode()
     assert peak_mb < DECOMPOSE_1E8_MAX_RSS_MB, peak_mb
+
+
+#: sha256 of the stdout of `probe 1e7 --epsilon 0.9 --workers 1`, made
+#: while the tables held int64 primes.
+PROBE_1E7_EPS09_DIGEST = (
+    "810e2b0e8ba2a3c4a5f957669fb70da53de9898959003d39725ef68b3088209d")
+#: Peak RSS of that run in MiB: about 53 on uint32 tables read without
+#: full-length copies, 65 while the tables held int64 primes and the probe
+#: copied its base.
+PROBE_1E7_MAX_RSS_MB = 58
+
+
+def test_probe_1e7_output_and_peak_rss():
+    # five levels: the run is the sieve, the probe's and the self-check's
+    # reads of the base and a few passes, so the tables and what is copied
+    # from them set its peak
+    out, peak_mb = _run_fresh("probe", "1e7", "--epsilon", "0.9",
+                              "--workers", "1")
+    assert (hashlib.sha256(out).hexdigest()
+            == PROBE_1E7_EPS09_DIGEST), out.decode()
+    assert peak_mb < PROBE_1E7_MAX_RSS_MB, peak_mb
 
 
 def test_decompose_rejects_the_depth_before_the_sieve(tmp_path, capsys,

@@ -11,17 +11,18 @@ the library's one sliced pass, bit for bit.
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ekconst import (EULER_GAMMA, DecompositionReport, build_group,
-                     build_tables, conductor_correction, decompose, divisors,
-                     factorize, gamma_q, gamma_q_from_prime_sums,
-                     layer_weight, mobius, mobius_layer_sum,
-                     primitive_characters, psi, psi_mod, ramified_term,
-                     totient)
+from ekconst import (EULER_GAMMA, ConductorCache, DecompositionReport,
+                     build_group, build_tables, conductor_correction,
+                     decompose, divisors, factorize, gamma_q,
+                     gamma_q_from_prime_sums, layer_weight, mobius,
+                     mobius_layer_sum, primitive_characters, psi, psi_mod,
+                     ramified_term, totient)
 from ekconst.accum import CHUNK, fsum_array
 from ekconst.sieve import _prefix, coprime_mask, residues
 from lvalue_oracle import l_values, phi_chi
@@ -281,6 +282,30 @@ def test_terms_accept_modulus_above_table_bound():
                 == gamma_q_from_prime_sums(q, 500.0, large)), q
         assert (_primitive_phi_sum(q, 500.0, small)
                 == _primitive_phi_sum(q, 500.0, large)), q
+
+
+@pytest.mark.parametrize("q,want", [
+    (2**32, "0x1.e138152538053p+2"),
+    (2**32 + 1, "0x1.06c2cb919e884p+3"),
+    (2**40, "0x1.e138152538053p+2")])
+def test_gamma_q_from_prime_sums_of_a_modulus_past_uint32(q, want):
+    # the residues mod q of the uint32 prime powers are the prime powers
+    # themselves; the values are those of the int64 tables
+    got = gamma_q_from_prime_sums(q, 1e4, build_tables(10**4))
+    assert got.hex() == want
+
+
+def test_decompose_makes_no_full_length_copy(tables_big):
+    # every search of the uint32 tables casts its needle: one that numpy
+    # promotes copies the prime powers to int64, 5.3 MB at x = 1e7, while
+    # the pass itself holds slice-sized buffers
+    tracemalloc.start()
+    try:
+        decompose(45, 1e7, 2025.0, tables_big, ConductorCache(None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tables_big.prime_powers.nbytes, peak
 
 
 def test_progression_term_mod_one_vanishes(shared_cache, tables_small):

@@ -380,10 +380,18 @@ def test_eh_probe_parallel_equals_serial(tables_small, prime_powers):
     assert pooled.total == serial.total
 
 
+def _int64_copy(tables):
+    """The tables with int64 primes and prime powers, as they were stored
+    before they were narrowed to uint32."""
+    return dataclasses.replace(
+        tables, primes=tables.primes.astype(np.int64),
+        prime_powers=tables.prime_powers.astype(np.int64))
+
+
 @pytest.mark.parametrize("prime_powers", [False, True])
 def test_uint32_and_int64_residues_agree(tables_small, prime_powers):
-    # a table bound of 2**32 keeps the residue base in int64
-    wide = dataclasses.replace(tables_small, bound=2**32)
+    # int64 tables keep the residue base in int64
+    wide = _int64_copy(tables_small)
     narrow = eh_probe(1e5, 0.5, tables_small, prime_powers)
     assert eh_probe(1e5, 0.5, wide, prime_powers) == narrow
     levels = range(1, 60)
@@ -418,8 +426,6 @@ def _searched_weights(tables, x, prime_powers):
     base = tables.prime_powers if prime_powers else tables.primes
     arr = base[:np.searchsorted(base, math.floor(x), side="right")]
     w = tables.prime_power_logs[np.searchsorted(tables.prime_powers, arr)]
-    if tables.bound < 2**32:
-        arr = arr.astype(np.uint32)
     return arr, w
 
 
@@ -429,10 +435,13 @@ def _searched_weights(tables, x, prime_powers):
 def test_weights_match_search_oracle(tables_small, tables_big, x,
                                      prime_powers, wide):
     tables = tables_small if x <= tables_small.bound else tables_big
-    if wide:    # a table bound of 2**32 keeps the residue base in int64
-        tables = dataclasses.replace(tables, bound=2**32)
+    if wide:    # int64 tables keep the residue base in int64
+        tables = _int64_copy(tables)
     arr, w = experiments._weights_upto(tables, x, prime_powers)
     want_arr, want_w = _searched_weights(tables, x, prime_powers)
+    # the base is a view of its table
+    assert np.shares_memory(
+        arr, tables.prime_powers if prime_powers else tables.primes)
     assert arr.dtype == want_arr.dtype
     assert arr.tobytes() == want_arr.tobytes()
     assert w.dtype == want_w.dtype

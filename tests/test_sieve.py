@@ -90,10 +90,15 @@ def test_segmented_primes_match_plain_sieve(bound):
     # [3 + 2kS, 3 + 2(k+1)S): 2S + 1 and 2S + 2 fill the first one exactly,
     # 2S + 3 and 2S + 4 open a second with one odd number and 2S + 7 with
     # three, 4S + 3 and 4S + 5 open a third; S - 1 to S + 2 end inside the
-    # first; 4, 9 and 25 end on a prime square
+    # first; 4, 9 and 25 end on a prime square. The tables narrow each
+    # segment to uint32; the streaming routes read the int64 segments.
     primes = build_tables(bound).primes
-    assert primes.dtype == np.int64
+    assert primes.dtype == np.uint32
     assert np.array_equal(primes, _small_primes(bound))
+    segments = list(sieve._segment_primes(
+        bound, _small_primes(math.isqrt(bound)).tolist(), STREAM_SEGMENT))
+    assert {found.dtype for found in segments} == {np.dtype(np.int64)}
+    assert np.array_equal(np.concatenate(segments), primes)
 
 
 def test_prime_listing(tables):
@@ -104,6 +109,7 @@ def test_prime_listing(tables):
 
 def test_prime_powers_sorted_and_complete(tables):
     ref = sorted(n for n in range(2, 3001) if len(_factor(n)) == 1)
+    assert tables.prime_powers.dtype == np.uint32
     assert tables.prime_powers.tolist() == ref
     assert np.allclose(tables.prime_power_logs,
                        [_lam_ref(n) for n in ref], atol=1e-15)
@@ -200,7 +206,7 @@ def test_streaming_equals_tables_bit_for_bit(tables_small, tables_big,
 
 
 def test_streaming_equals_tables_at_the_cap():
-    # the largest tables, 0.7 s and about 212 MB
+    # the largest tables, 0.3 s and about 119 MB
     expected = psi(build_tables(MAX_TABLE_BOUND), MAX_TABLE_BOUND)
     assert psi_stream(MAX_TABLE_BOUND) == expected
 
@@ -233,6 +239,40 @@ def test_residues_equal_mod_for_every_probe_level():
             assert np.array_equal(got, want), (base.dtype, m)
             assert residues(base, m, quot, out) is out
             assert np.array_equal(out, want), (base.dtype, m)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_search_equals_an_int64_search(tables, side):
+    # Python ints, lists and int64 arrays, at and between the table's
+    # values and at its ends
+    pp = tables.prime_powers
+    wide = pp.astype(np.int64)
+    for needle in (0, 1, 2, 3, 4, 1000, 2999, 3000, [], [2, 9, 2048],
+                   np.arange(0, 3001, 7, dtype=np.int64)):
+        got = sieve._search(pp, needle, side)
+        assert np.array_equal(got, np.searchsorted(wide, needle, side))
+
+
+def test_residues_of_a_modulus_past_the_dtype():
+    # an m the dtype cannot hold exceeds every value, so each value is its
+    # own residue
+    for base in _residue_bases():
+        top = int(np.iinfo(base.dtype).max)
+        for m in (top + 1, top + 2, 2**64, 2**70):
+            want = [v % m for v in base.tolist()]
+            assert residues(base, m).tolist() == want, (base.dtype, m)
+            out = np.empty(base.size, dtype=base.dtype)
+            assert residues(base, m, np.empty_like(base), out) is out
+            assert out.tolist() == want, (base.dtype, m)
+
+
+@pytest.mark.parametrize("q", [2**32, 2**32 + 1, 2**40])
+def test_psi_mod_of_a_modulus_past_uint32(q):
+    # the uint32 tables take residues mod a q they cannot hold: every
+    # prime power up to 1000 is its own residue, and only 7 is 7 mod q
+    got = psi_mod(build_tables(1000), 1000, q, 7)
+    assert got.hex() == (1.9459101490553132).hex()
+    assert got == psi_mod_stream(1000, q, 7)
 
 
 def _near_multiples(top):

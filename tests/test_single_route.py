@@ -1,7 +1,7 @@
 """Structure of the library: one process pool, one route to conductor
 totals, one exact sum of a float array, one probe route from the CLI, one
 pass of decomp over the prime powers, precision known only where the
-conductor cache is built.
+conductor cache is built, one search of the prime tables.
 
 Every check reads the source of src/ekconst with ast. A name counts where it
 is loaded, that is called or passed as a value; imports, the strings of
@@ -107,3 +107,12 @@ def test_only_the_cache_layers_know_the_depth():
                if isinstance(node, (ast.Name, ast.Attribute))
                and _name(node) in depth}
     assert modules == {"stieltjes", "ekgamma", "cli"}
+
+
+def test_one_function_searches_the_tables():
+    # a needle of another dtype than the uint32 tables makes numpy copy the
+    # whole table on every search, so every search goes through the helper
+    # that casts it
+    sites = {(module, scope) for module, scope, node in _scoped_nodes()
+             if _name(node) == "searchsorted"}
+    assert sites == {("sieve", "_search")}
