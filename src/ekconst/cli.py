@@ -20,8 +20,8 @@ import sys
 from dataclasses import asdict
 
 from .decomp import decompose
-from .ekgamma import (CacheCorruption, ConductorCache, _core_count,
-                      gamma_q)
+from .ekgamma import (CacheCorruption, ConductorCache, _cache_row,
+                      _core_count, gamma_q)
 from .experiments import (FORMATS, _g, dyadic_mean, eh_probe, emit, render,
                           residue_sum_checks, scan_range, theorem_statistic)
 from .sieve import MAX_TABLE_BOUND, build_tables
@@ -195,18 +195,19 @@ def cmd_cache(args) -> int:
         print(f"# cleared {path}")
         return EXIT_OK
     if args.action == "verify":
+        # the load parses and checks every row
         try:
-            rows = ConductorCache(path, load=False).verify()
+            cache = ConductorCache(path)
         except CacheCorruption as exc:
             where = f" (conductor {exc.q})" if exc.q is not None else ""
             _err(f"cache corrupted{where}: {exc}")
             return EXIT_IO
-        print(f"# cache={path} ok entries={len(rows)}")
+        print(f"# cache={path} ok entries={len(cache)}")
         return EXIT_OK
     cache = ConductorCache(path)
     print(f"# cache={path} entries={len(cache)}")
     for rec in cache.records():
-        print(f"{rec.q},{rec.total!r},{rec.imag_residual!r},{rec.tag}")
+        print(_cache_row(rec.q, rec.total, rec.imag_residual, rec.tag))
     return EXIT_OK
 
 

@@ -30,8 +30,8 @@ pool's round-robin chunks cost about the same and no process idles while
 another finishes. The probe maps its chains of levels, which cost the same
 each, through the same pool. The cache holds each row as a (total,
 imag_residual) float pair under its (q, tag) key, so a load and a warm
-fill build no object per row; get, records and verify build their
-ConductorTotal rows when they are called.
+fill build no object per row; get and records build their ConductorTotal
+rows when they are called.
 
 For non-principal chi mod q the Hurwitz expansion gives, with the pole
 cancelling against sum_a chi(a) = 0,
@@ -281,10 +281,12 @@ class ConductorCache:
     Rows of other tags are loaded, merged and saved with the rest.
 
     Each row is held as the float pair (total, imag_residual) under its
-    key, so loading a file and a warm fill build no object per row; get,
-    records and verify return ConductorTotal rows built from the pairs, and
-    fill returns the totals alone. A missing file reads as an empty cache,
-    also one that another process's clear removes just before the open.
+    key, so loading a file and a warm fill build no object per row; get and
+    records return ConductorTotal rows built from the pairs, and fill
+    returns the totals alone. A missing file reads as an empty cache, also
+    one that another process's clear removes just before the open. Building
+    a cache on a path parses the whole file, so a load that raises no
+    CacheCorruption has verified it.
 
     The file is CSV with header ``q,total,imag_residual,tag``, rows sorted by
     (q, tag), floats written with repr (shortest round-trip form, so a reload
@@ -435,7 +437,7 @@ class ConductorCache:
                 self._merge_file()
                 rows = [_CACHE_HEADER]
                 for (q, tag), (total, imag) in sorted(self._data.items()):
-                    rows.append(f"{q},{total!r},{imag!r},{tag}")
+                    rows.append(_cache_row(q, total, imag, tag))
                 payload = "\n".join(rows) + "\n"
                 # a unique temp file per save; mkstemp makes it 0600, a
                 # plain write 0644. No fsync: the rows are recomputable, a
@@ -499,13 +501,6 @@ class ConductorCache:
             finally:
                 os.close(fd)    # releases the lock
 
-    def verify(self) -> list[ConductorTotal]:
-        """Re-parse the backing file, raising CacheCorruption on any defect;
-        no file gives no rows."""
-        if self.path is None:
-            return []
-        return _totals(self._read_file()[0].items())
-
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
@@ -535,6 +530,11 @@ def _file_stamp(st: os.stat_result) -> tuple[int, int, int]:
 
 def _bits(pair: tuple[float, float]) -> tuple[str, str]:
     return (pair[0].hex(), pair[1].hex())
+
+
+def _cache_row(q: int, total: float, imag: float, tag: str) -> str:
+    """The line of one row of the cache file, without its newline."""
+    return f"{q},{total!r},{imag!r},{tag}"
 
 
 def _totals(rows) -> list[ConductorTotal]:

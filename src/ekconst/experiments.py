@@ -423,12 +423,9 @@ def _render_probe(probe: EhProbeRecord, fmt: str) -> str:
         d = asdict(probe)
         d["per_m"] = [[m, e] for m, e in probe.per_m]
         return json.dumps(d, indent=2) + "\n"
-    lines = [f"# progression error probe: x={_g(probe.x)} "
-             f"epsilon={_g(probe.epsilon)} m_max={probe.m_max} "
-             f"total={_g(probe.total)}",
-             "# columns: m max_abs_error"]
-    lines.extend(f"{m} {_g(e)}" for m, e in probe.per_m)
-    return "\n".join(lines) + "\n"
+    return (f"# progression error probe: x={_g(probe.x)} "
+            f"epsilon={_g(probe.epsilon)} m_max={probe.m_max} "
+            f"total={_g(probe.total)}\n" + _render_per_m(probe, "plotdata"))
 
 
 def _render_per_m(probe: EhProbeRecord, fmt: str) -> str:
@@ -459,27 +456,18 @@ def _render_histogram(bins, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _payload_kind(payload) -> str:
-    if isinstance(payload, EhProbeRecord):
-        return "probe"
-    if isinstance(payload, (list, tuple)):
-        if len(payload) == 0 or isinstance(payload[0], ScanRecord):
-            return "scan"
-        if isinstance(payload[0], RatioBin):
-            return "histogram"
-    raise TypeError(f"cannot emit payload of type {type(payload).__name__}")
-
-
 def render(payload, fmt: str) -> str:
     """Text form of any emittable payload in csv, json or plotdata."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    kind = _payload_kind(payload)
-    if kind == "scan":
-        return _render_scan(payload, fmt)
-    if kind == "probe":
+    if isinstance(payload, EhProbeRecord):
         return _render_probe(payload, fmt)
-    return _render_histogram(payload, fmt)
+    if isinstance(payload, (list, tuple)):
+        if len(payload) == 0 or isinstance(payload[0], ScanRecord):
+            return _render_scan(payload, fmt)
+        if isinstance(payload[0], RatioBin):
+            return _render_histogram(payload, fmt)
+    raise TypeError(f"cannot emit payload of type {type(payload).__name__}")
 
 
 def _write(path, text: str) -> None:
@@ -500,7 +488,7 @@ def emit(payload, fmt: str, path, per_m_path=None) -> None:
     (m, max_abs_error).
     """
     text = render(payload, fmt)
-    if per_m_path is not None and _payload_kind(payload) != "probe":
+    if per_m_path is not None and not isinstance(payload, EhProbeRecord):
         raise ValueError("per_m_path only applies to probe records")
     _write(path, text)
     if per_m_path is not None:

@@ -1,7 +1,9 @@
 """Sieved prime tables and Chebyshev psi sums.
 
 One segmented sieve yields the primes up to a bound: 2, then the odd
-primes a segment at a time, with one flag per odd number. build_tables()
+primes a segment at a time, with one flag per odd number. Its base, the
+primes up to the square root of the bound, comes from the same sieve one
+level down (_primes_upto); there is no second sieve. build_tables()
 keeps them as compact ascending arrays: the primes and the prime powers as
 uint32, and log p at each prime power p^v (the von Mangoldt weight). These
 are what every downstream Lambda-weighted sum iterates over: _prefix gives
@@ -68,11 +70,11 @@ def build_tables(bound: int) -> ArithmeticTables:
             f"bound {bound} exceeds table capacity {MAX_TABLE_BOUND}; "
             "use psi_stream / psi_mod_stream for large arguments"
         )
-    base = _small_primes(isqrt(bound)).tolist()
+    base = _primes_upto(isqrt(bound))
     # each segment is narrowed as it arrives, so no int64 copy of all the
     # primes is ever held
     primes = np.concatenate([found.astype(np.uint32) for found
-                             in _segment_primes(bound, base, STREAM_SEGMENT)])
+                             in _segment_primes(bound, base)])
     # the higher prime powers are inserted among the primes in ascending
     # order in one pass; the one before primes[at[i]] lands at at[i] + i
     higher = sorted(_higher_powers(base, bound))
@@ -228,30 +230,25 @@ def mobius(n: int) -> int:
     return (-1) ** len(fac)
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    """Boolean-sieve primes up to limit (inclusive)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n from _segment_primes, whose base, the primes <=
+    isqrt(n), comes from this function in turn: five levels reach the
+    table cap."""
+    base = _primes_upto(isqrt(n)) if n >= 4 else []
+    return [p for found in _segment_primes(n, base) for p in found.tolist()]
 
 
-def _segment_primes(xi: int, base: list[int],
-                    segment: int) -> Iterator[np.ndarray]:
+def _segment_primes(xi: int, base: list[int]) -> Iterator[np.ndarray]:
     """The primes in [2, xi], ascending: 2 alone, then the odd primes one
-    segment of `segment` odd numbers at a time; base must hold the primes
-    up to isqrt(xi)."""
+    segment of STREAM_SEGMENT odd numbers at a time; base must hold the
+    primes up to isqrt(xi)."""
     if xi < 2:
         return
     yield np.array([2], dtype=np.int64)
     odd_base = base[1:]
     lo = 3
     while lo <= xi:
-        hi = min(lo + 2 * segment, xi + 1)
+        hi = min(lo + 2 * STREAM_SEGMENT, xi + 1)
         # flags[i] stands for lo + 2i; the odd multiples of p are p apart
         flags = np.ones((hi - lo + 1) // 2, dtype=bool)
         for p in odd_base:
@@ -281,36 +278,32 @@ def _higher_powers(base: list[int],
             pv *= p
 
 
-def _stream_core(x: float, q: int, a: int) -> float:
-    """psi(x; q, a) from the segmented sieve, in segments of STREAM_SEGMENT
-    odd numbers: the exact sums of the logs of the primes of each segment
-    and of the higher prime powers, added as fixed-point integers and
-    rounded once."""
+def psi_stream(x: float) -> float:
+    """Chebyshev psi(x) without tables; memory stays O(STREAM_SEGMENT +
+    sqrt(x)). Equal to psi(build_tables(bound), x) bit for bit: the same
+    logs, summed exactly."""
+    return psi_mod_stream(x, 1, 0)
+
+
+def psi_mod_stream(x: float, q: int, a: int) -> float:
+    """psi(x; q, a) without tables, same contract as psi_mod and equal to it
+    bit for bit; memory stays O(STREAM_SEGMENT + sqrt(x)).
+
+    The segmented sieve yields the primes a segment at a time; the exact
+    sums of the logs of the primes of each segment and of the higher prime
+    powers are added as fixed-point integers and rounded once."""
+    _check_class(q, a)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     xi = int(math.floor(x))
-    base_list = _small_primes(isqrt(xi)).tolist()
-    segments = _segment_primes(xi, base_list, STREAM_SEGMENT)
+    base = _primes_upto(isqrt(xi))
+    segments = _segment_primes(xi, base)
     if q > 1:
         segments = (found[residues(found, q) == a] for found in segments)
-    higher_logs = [logp for pv, logp in _higher_powers(base_list, xi)
+    higher_logs = [logp for pv, logp in _higher_powers(base, xi)
                    if pv % q == a]
     # logs are finite and small, so fixed_sum never returns None here
     total = fixed_sum(np.array(higher_logs, dtype=np.float64))
     for found in segments:
         total += fixed_sum(np.log(found.astype(np.float64)))
     return round_fixed(total)
-
-
-def psi_stream(x: float) -> float:
-    """Chebyshev psi(x) without tables; memory stays O(STREAM_SEGMENT +
-    sqrt(x)). Equal to psi(build_tables(bound), x) bit for bit: the same
-    logs, summed exactly."""
-    return _stream_core(x, 1, 0)
-
-
-def psi_mod_stream(x: float, q: int, a: int) -> float:
-    """psi(x; q, a) without tables, same contract as psi_mod and equal to it
-    bit for bit; memory stays O(STREAM_SEGMENT + sqrt(x))."""
-    _check_class(q, a)
-    return _stream_core(x, q, a)

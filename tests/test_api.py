@@ -14,7 +14,8 @@ SOURCES = sorted(Path(ekconst.__file__).parent.glob("*.py"))
 #: Public functions offered to library users that no library function
 #: calls: the residue-class and streaming Chebyshev sums (README), the
 #: reader of the scan CSV and the principal character of a group.
-ENTRY_POINTS = {"psi_mod", "psi_stream", "psi_mod_stream", "parse_scan_csv",
+#: psi_mod_stream is not one: psi_stream calls it.
+ENTRY_POINTS = {"psi_mod", "psi_stream", "parse_scan_csv",
                 "principal_character"}
 
 

@@ -616,6 +616,110 @@ def test_error_exit_code_and_message(tmp_path, capsys, argv, setup, code,
         assert after == before
 
 
+# ---------------------------------------------------------- frozen output
+
+#: sha256 of the outputs of each group of _frozen_outputs, recorded before
+#: the emitter's dispatch and the cache verify action were rewritten; the
+#: rewrites keep every byte.
+FROZEN_OUTPUT_DIGESTS = {
+    "scan": "6ad3d35e7f69673e13c74de29e66fa9a11e978aa14744cf371552edc78be872a",
+    "scan_tuple":
+        "6ad3d35e7f69673e13c74de29e66fa9a11e978aa14744cf371552edc78be872a",
+    "scan_empty":
+        "ac6d8fb3544ae65002e37d69ae1ef7ddd1f52d522aa7febb5fbe8a71c30c0eca",
+    "histogram":
+        "3bc0528680c0f6c3b3840ac1dd74e7bfd79ba1cc5c5ad451be67b9626ca710d4",
+    "probe": "876681e8f791634d36e721e62d7eb14e343f1e93983c8fda09a6abe59ab95bfc",
+    "probe_prime_powers":
+        "77b747c4f90f91d2b39c281864f714a656391881a88a25cb2208318eda06c5a8",
+    "rejected":
+        "32a5d2df45592c7b521ed01c42ef7976a3022d7b60496f999fe85ad3b0393e46",
+    "cache": "f7ff393dff774a9df8fd7e8d5a01274b6134fc04b916903de6f1cb98debf219d",
+}
+
+
+def _frozen_outputs(tmp_path, capsys):
+    """group -> [(label, text)]: render and emit of every payload in every
+    format, with the per-level file of the probes, the messages of the
+    payloads they reject, and the exit code, stdout and stderr of the cache
+    actions, with the test's directory read as <dir>."""
+    records = []
+    for q in range(2, 10):
+        # ratios below 0, in [0, 2] and above 2; none at q = 2
+        log_q = math.log(q)
+        gamma = (q - 5.5) * q * 0.2
+        records.append(experiments.ScanRecord(
+            q=q, gamma_q=gamma, log_q=log_q,
+            ratio=gamma / log_q if q > 2 else math.nan,
+            abs_dev=abs(gamma - log_q)))
+    tables = build_tables(10**4)
+    payloads = {
+        "scan": records, "scan_tuple": tuple(records), "scan_empty": [],
+        "histogram": experiments.ratio_histogram(records, 4),
+        "probe": experiments.eh_probe(1e4, 0.5, tables),
+        "probe_prime_powers": experiments.eh_probe(1e4, 0.5, tables, True),
+    }
+    out = {}
+    for name, payload in payloads.items():
+        texts = out[name] = []
+        for fmt in experiments.FORMATS:
+            main, per_m = tmp_path / f"{name}.{fmt}", tmp_path / f"m.{fmt}"
+            probe = isinstance(payload, experiments.EhProbeRecord)
+            experiments.emit(payload, fmt, main,
+                             per_m_path=per_m if probe else None)
+            texts += [(f"render {fmt}", experiments.render(payload, fmt)),
+                      (f"emit {fmt}", main.read_text(encoding="ascii"))]
+            if probe:
+                texts.append((f"per_m {fmt}", per_m.read_text("ascii")))
+    rejected = out["rejected"] = []
+    for payload, fmt in (([1, 2, 3], "csv"), (object(), "json"),
+                         (("a",), "plotdata"), (records, "yaml"),
+                         (object(), "yaml")):
+        with pytest.raises((TypeError, ValueError)) as exc:
+            experiments.render(payload, fmt)
+        rejected.append(("render", f"{exc.type.__name__}: {exc.value}"))
+    for payload in (records, [], payloads["histogram"], object()):
+        with pytest.raises((TypeError, ValueError)) as exc:
+            experiments.emit(payload, "csv", tmp_path / "a",
+                             per_m_path=tmp_path / "b")
+        rejected.append(("emit", f"{exc.type.__name__}: {exc.value}"))
+
+    cache_dir = tmp_path / "cache"
+    path = ekgamma.ConductorCache.default_path(cache_dir)
+    cache = ekgamma.ConductorCache(path)
+    for row in ((1, 0.0, 0.0, "em50"), (3, -0.1234567890123, 1e-17, "em50"),
+                (3, -0.12345678901229999, 0.0, "em30"),
+                (4, 0.5772156649015329, -2.5e-300, "em50"),
+                (12, 1e20 / 3, 0.0, "em50")):
+        cache.put(ekgamma.ConductorTotal(*row))
+    cache.save()
+    actions = out["cache"] = []
+
+    def run(label, action):
+        code, stdout, stderr = _run(capsys, "cache", action, "--cache-dir",
+                                    str(cache_dir))
+        actions.append((label, f"{code}\n{stdout}\n{stderr}".replace(
+            str(tmp_path), "<dir>")))
+
+    run("list", "list")
+    run("verify", "verify")
+    run("clear", "clear")
+    run("verify missing", "verify")
+    run("list missing", "list")
+    path.write_text(f"q,total,imag_residual,tag\n1,0.0,0.0,em50\n{_BAD_ROW}\n",
+                    encoding="ascii")
+    run("verify corrupt", "verify")
+    run("list corrupt", "list")
+    return out
+
+
+def test_emitter_and_cache_output_frozen(tmp_path, capsys):
+    outputs = _frozen_outputs(tmp_path, capsys)
+    digests = {group: hashlib.sha256(repr(texts).encode()).hexdigest()
+               for group, texts in outputs.items()}
+    assert digests == FROZEN_OUTPUT_DIGESTS
+
+
 # ------------------------------------------------------------- top level
 
 

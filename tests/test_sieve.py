@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from ekconst import (CapacityError, build_tables, divisors, factorize, mobius,
                      psi, psi_mod, psi_mod_stream, psi_stream, totient)
 from ekconst import sieve
-from ekconst.sieve import (MAX_TABLE_BOUND, STREAM_SEGMENT, _small_primes,
-                           coprime_mask, residues)
+from ekconst.sieve import (MAX_TABLE_BOUND, STREAM_SEGMENT, coprime_mask,
+                           residues)
 
 
 def _factor(n):
@@ -36,6 +36,19 @@ def _lam_ref(n):
         (p, _), = f.items()
         return math.log(p)
     return 0.0
+
+
+def _plain_sieve(limit):
+    """The primes <= limit from a boolean sieve of all the integers: a
+    reference that shares no code with the library's segmented sieve."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p:: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -80,11 +93,14 @@ def test_factorize_rejects_nonpositive(n):
         factorize(n)
 
 
-@pytest.mark.parametrize("bound", [
-    2, 3, 4, 9, 25, STREAM_SEGMENT - 1, STREAM_SEGMENT, STREAM_SEGMENT + 1,
-    STREAM_SEGMENT + 2, 2 * STREAM_SEGMENT + 1, 2 * STREAM_SEGMENT + 2,
-    2 * STREAM_SEGMENT + 3, 2 * STREAM_SEGMENT + 4, 2 * STREAM_SEGMENT + 7,
-    4 * STREAM_SEGMENT + 3, 4 * STREAM_SEGMENT + 5])
+def _segment_edges(S):
+    """The bounds where the segments of S odd numbers meet; see
+    test_segmented_primes_match_plain_sieve."""
+    return [2, 3, 4, 9, 25, S - 1, S, S + 1, S + 2, 2 * S + 1, 2 * S + 2,
+            2 * S + 3, 2 * S + 4, 2 * S + 7, 4 * S + 3, 4 * S + 5]
+
+
+@pytest.mark.parametrize("bound", _segment_edges(STREAM_SEGMENT))
 def test_segmented_primes_match_plain_sieve(bound):
     # 2 alone, then segments of S = STREAM_SEGMENT odd numbers,
     # [3 + 2kS, 3 + 2(k+1)S): 2S + 1 and 2S + 2 fill the first one exactly,
@@ -94,11 +110,29 @@ def test_segmented_primes_match_plain_sieve(bound):
     # segment to uint32; the streaming routes read the int64 segments.
     primes = build_tables(bound).primes
     assert primes.dtype == np.uint32
-    assert np.array_equal(primes, _small_primes(bound))
+    assert np.array_equal(primes, _plain_sieve(bound))
     segments = list(sieve._segment_primes(
-        bound, _small_primes(math.isqrt(bound)).tolist(), STREAM_SEGMENT))
+        bound, _plain_sieve(math.isqrt(bound)).tolist()))
     assert {found.dtype for found in segments} == {np.dtype(np.int64)}
     assert np.array_equal(np.concatenate(segments), primes)
+
+
+def test_primes_upto_matches_plain_sieve():
+    ref = _plain_sieve(3000).tolist()
+    for n in range(3001):
+        assert sieve._primes_upto(n) == [p for p in ref if p <= n], n
+
+
+_S = 256
+
+
+@pytest.mark.parametrize("n", _segment_edges(_S) + [(2 * _S + 3) ** 2])
+def test_primes_upto_at_the_segment_edges(monkeypatch, n):
+    # segments of S = 256 odd numbers: 4S + 5 recurses through the bases
+    # 32, 5 and 2, and (2S + 3)^2 through 2S + 3, whose primes are sieved
+    # in two segments
+    monkeypatch.setattr(sieve, "STREAM_SEGMENT", _S)
+    assert sieve._primes_upto(n) == _plain_sieve(n).tolist()
 
 
 def test_prime_listing(tables):
@@ -167,9 +201,6 @@ def test_divisor_sum_of_totient(tables):
         assert sum(totient(d) for d in divisors(n)) == n
 
 
-_S = 256
-
-
 @pytest.mark.parametrize("bound", [
     2 * _S + 1, 2 * _S + 2, 2 * _S + 3, 2 * _S + 4, 2 * _S + 7, 4 * _S + 3,
     4 * _S + 5, 3000])
@@ -177,18 +208,28 @@ def test_streaming_matches_tables(tables, monkeypatch, bound):
     # the segment edges of test_segmented_primes_match_plain_sieve, at
     # segments of S = 256 odd numbers
     monkeypatch.setattr(sieve, "STREAM_SEGMENT", _S)
-    segments = []
+    calls = []
     real = sieve._segment_primes
 
-    def spy(xi, base, segment):
-        segments.append(segment)
-        return real(xi, base, segment)
+    def spy(xi, base):
+        calls.append((xi, []))
+        for found in real(xi, base):
+            calls[-1][1].append(found.tolist())
+            yield found
 
     monkeypatch.setattr(sieve, "_segment_primes", spy)
     assert psi_stream(bound).hex() == psi(tables, bound).hex()
     assert psi_mod_stream(bound, 4, 1).hex() == \
         psi_mod(tables, bound, 4, 1).hex()
-    assert segments == [_S, _S]
+    # both streams sieve up to the bound, and every sieve, the bases' too,
+    # reads 2 alone and then segments of S odd numbers, [3 + 2kS,
+    # 3 + 2(k + 1)S), the last one cut at xi
+    assert [xi for xi, _ in calls].count(bound) == 2
+    for xi, segments in calls:
+        edges = [2] + list(range(3, xi + 1, 2 * _S)) + [xi + 1]
+        ref = _plain_sieve(xi).tolist()
+        assert segments == [[p for p in ref if lo <= p < hi]
+                            for lo, hi in zip(edges, edges[1:])], xi
 
 
 def test_streaming_equals_tables_bit_for_bit(tables_small, tables_big,
