@@ -337,7 +337,12 @@ class ConductorCache:
             raw = fh.read()
             stamp = _file_stamp(os.fstat(fh.fileno()))
         if not raw.isascii():
-            raw.decode("ascii")     # raises, at the byte's offset in the file
+            # a corrupt file: the codec's UnicodeDecodeError would be a
+            # ValueError, which reads as a usage error
+            at = next(i for i, byte in enumerate(raw) if byte > 0x7f)
+            line = raw.count(b"\n", 0, at) + 1
+            raise CacheCorruption(f"{self.path}:{line}: non-ASCII byte "
+                                  f"{raw[at]:#04x} at offset {at}")
         # one line at a time, with the newline rules of a text-mode read:
         # a list of all the lines, held next to the rows, raises the peak
         # RSS of a cold scan followed by warm ones by about 0.5 MB

@@ -9,7 +9,9 @@ worst prime-counting error over the coprime residue classes mod m.
 The self-check residue_sum_checks compares the probe's class sums with an
 exact sum of Lambda over the prime powers they leave out of psi(x). Each
 of the two reads psi(x) and its weights (_weights_upto, slices of the
-prime-power table from sieve._prefix) from the tables itself.
+prime-power table from sieve._prefix) from the tables itself, and each
+pass reads those slices in place, one block at a time: neither allocates
+an array of the length of its base.
 
 Emission is deliberately dumb: fixed headers, fixed significant digits,
 LF line endings, records in ascending order, so identical inputs produce
@@ -45,11 +47,12 @@ RATIO_RANGE = (0.0, 2.0)
 #: 1..32 share one pass.
 CHECK_FOLDS = 5
 
-#: Elements per block of a residue pass's quotients: 256 KiB of uint32,
-#: which stay in the L2 cache between the division and the subtraction. On
-#: a 2-core x86-64 Xeon (2 MiB of L2 per core) a pass over the primes below
-#: 1e7 took a median 1.97 ms, against 2.14 ms with full-length quotients
-#: and 2.16 ms in blocks of 2^14 (7 runs of 400 passes).
+#: Elements per block of a residue pass: 256 KiB of uint32 quotients and
+#: 512 KiB of intp residues, which stay in the L2 cache from the division
+#: to the np.add.at that reads them. On a 2-core x86-64 Xeon (2 MiB of L2
+#: per core) a pass at top 3001 over the prime powers below 1e7 took a
+#: median 2.02 ms, against 2.02 ms in blocks of 2^14, 2.30 ms in blocks
+#: of 2^18 and 2.22 ms in blocks of 2^20 (7 runs of 390 passes).
 _RESIDUE_BLOCK = 1 << 16
 
 
@@ -189,29 +192,32 @@ def _higher_upto(tables: ArithmeticTables, xi: int) -> list[int]:
 
 
 def _weights_upto(tables: ArithmeticTables, x: float, prime_powers: bool):
-    """The probe's residue base (primes or prime powers <= x) and weights.
+    """The probe's residue base and weights: (arr, w, skip).
 
-    The base is a leading slice of tables.primes or tables.prime_powers, a
-    uint32 view, not a copy; the per-level quotient arr // top
-    (sieve.residues) takes 0.25 ms on it against 0.62 ms on int64 for the
-    664,579 primes below 1e7 on a 2-core x86-64 Xeon with numpy 2.4. The
-    weights are a slice of the prime-power logs. On the primes base the
-    higher powers p^v (v >= 2), from _higher_upto, are masked out of them,
-    and the prime powers the mask keeps must equal the primes <= x: the
-    self-check's right side is built from the same higher powers, so a
-    power missed here raises instead of cancelling there.
+    arr and w are the prime powers n <= x and Lambda(n) at them, leading
+    slices of tables.prime_powers and tables.prime_power_logs (_prefix),
+    views, not copies; the per-level quotient arr // top (sieve.residues)
+    takes 0.25 ms on uint32 against 0.62 ms on int64 for the 664,579
+    primes below 1e7 on a 2-core x86-64 Xeon with numpy 2.4. skip holds
+    the ascending positions in arr of the elements that are not in the
+    base: none on the prime-powers base, and on the primes base the higher
+    powers p^v (v >= 2) from _higher_upto, which a pass buckets apart
+    (_chain_class_sums). The elements that skip leaves must be the primes
+    <= x: the self-check's right side is built from the same higher
+    powers, so a power missed here raises instead of cancelling there.
     """
     arr, w = _prefix(tables, x)
     if prime_powers:
-        return arr, w
+        return arr, w, np.empty(0, dtype=np.intp)
     xi = math.floor(x)
-    keep = np.ones(arr.size, dtype=bool)
-    keep[_search(arr, _higher_upto(tables, xi))] = False
-    primes = tables.primes[:_search(tables.primes, xi, side="right")]
-    if not np.array_equal(arr[keep], primes):
+    higher = sorted(_higher_upto(tables, xi))    # _higher_powers is by p
+    skip = _search(arr, higher)
+    n_primes = int(_search(tables.primes, xi, side="right"))
+    if (arr.size - len(higher) != n_primes
+            or not np.array_equal(arr[skip], higher)):
         raise RuntimeError(f"the prime powers <= {xi} without the "
                            "higher powers are not the primes")
-    return primes, w[keep]
+    return arr, w, skip
 
 
 def _chains(levels, top) -> list[list[int]]:
@@ -243,35 +249,42 @@ def _check_top(m: int, limit: int) -> int:
 
 
 def _residue_buffers(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The quotient buffer of one _RESIDUE_BLOCK (the dtype of arr) and the
-    full-length intp residue buffer that _chain_class_sums reuses on every
-    pass over arr."""
+    """The quotient buffer (the dtype of arr) and the intp residue buffer,
+    one _RESIDUE_BLOCK each, that _chain_class_sums reuses on every pass
+    over arr."""
     return (np.empty(_RESIDUE_BLOCK, dtype=arr.dtype),
-            np.empty(arr.size, dtype=np.intp))
+            np.empty(_RESIDUE_BLOCK, dtype=np.intp))
 
 
-def _chain_class_sums(arr: np.ndarray, w: np.ndarray, chain,
-                      quot: np.ndarray, res: np.ndarray
+def _chain_class_sums(arr: np.ndarray, w: np.ndarray, skip: np.ndarray,
+                      chain, quot: np.ndarray, res: np.ndarray
                       ) -> list[tuple[int, np.ndarray]]:
     """(m, weight sums of the residue classes a mod m with gcd(a, m) = 1,
-    ascending in a) for each level m of a chain from _chains.
+    ascending in a) for each level m of a chain from _chains, over the
+    elements of arr but those at the positions skip (_weights_upto).
 
-    One residue pass buckets the weights mod chain[0], the top. The
-    residues are arr - (arr // top) * top (sieve.residues), taken a block
-    of quot's length at a time into the full-length res (the buffers from
-    _residue_buffers), and one bincount reads res as it is. Each lower
-    level halves the buckets of the level above, b[:m] + b[m:], since the
-    classes r and r + m mod 2m make up the class r mod m. The top's sums
-    are a plain bincount; a folded level adds the same weights in another
-    order. coprime_mask(m) picks the coprime classes by striking out the
-    multiples of each prime factor of m.
+    One residue pass buckets the weights mod chain[0], the top, in blocks
+    of quot's length (the buffers from _residue_buffers). A block's
+    residues are arr - (arr // top) * top (sieve.residues), written to
+    res; its skipped elements go to a spare bucket, top, and one
+    np.add.at adds the block's weights into the top + 1 buckets, each in
+    element order as bincount adds them, so the sums keep their bits. The
+    spare bucket is then dropped. Each lower level halves the buckets of
+    the level above, b[:m] + b[m:], since the classes r and r + m mod 2m
+    make up the class r mod m; a folded level adds the same weights in
+    another order. coprime_mask(m) picks the coprime classes by striking
+    out the multiples of each prime factor of m.
     """
     top = chain[0]
     step = quot.size
+    buckets = np.zeros(top + 1)
     for start in range(0, arr.size, step):
         block = arr[start:start + step]
-        residues(block, top, quot[:block.size], res[start:start + step])
-    buckets = np.bincount(res, weights=w, minlength=top)
+        part = residues(block, top, quot[:block.size], res[:block.size])
+        lo, hi = _search(skip, (start, start + block.size))
+        part[skip[lo:hi] - start] = top
+        np.add.at(buckets, part, w[start:start + step])
+    buckets = buckets[:top]
     out = []
     for m in chain:
         while buckets.size > m:
@@ -281,12 +294,13 @@ def _chain_class_sums(arr: np.ndarray, w: np.ndarray, chain,
     return out
 
 
-def _level_errors(arr, w, psi_x: float, chains) -> list[tuple[int, float]]:
+def _level_errors(arr, w, skip, psi_x: float,
+                  chains) -> list[tuple[int, float]]:
     """(m, max over coprime a of |E(x; m, a)|) for each level of chains."""
     out = []
     quot, res = _residue_buffers(arr)
     for chain in chains:
-        for m, sums in _chain_class_sums(arr, w, chain, quot, res):
+        for m, sums in _chain_class_sums(arr, w, skip, chain, quot, res):
             out.append((m, float(np.abs(sums - psi_x / sums.size).max())))
     return out
 
@@ -305,32 +319,37 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     The levels run in chains of one odd part (_chains): one residue pass
     per odd o <= m_max, at the multiple o * 2^k in (m_max/2, m_max], and
     the levels o * 2^j below it folded from that pass, so (m_max + 1) // 2
-    passes in all. The levels above m_max/2 get plain bincount sums; a
-    folded level can differ from a pass of its own in the last bits. A pass
-    takes its residues by division by the invariant top (sieve.residues),
-    about 2.0 ms over the 664,579 primes below 1e7, of which bincount takes
-    1.2 ms; the block-sized quotient buffer and the full-length residue
-    buffer are allocated once per serial run or pool chunk.
+    passes in all. The levels above m_max/2 get the sums of a pass, each
+    bucket added in element order as bincount adds it; a folded level can
+    differ from a pass of its own in the last bits. A pass takes its
+    residues by division by the invariant top (sieve.residues), about
+    2.0 ms over the 664,579 primes below 1e7, of which np.add.at takes
+    1.1 ms (bincount of a full-length residue array took 1.6 ms). Its two
+    buffers, of one _RESIDUE_BLOCK each, are allocated once per serial run
+    or pool chunk, so a call allocates no array of length pi(x).
 
-    psi(x) and the residue base and weights (_weights_upto, views of the
-    tables but for the masked weights of the primes base) are read once
-    per call, about 9 ms at x = 1e7 on the primes base. With workers > 1
-    the chains, which are independent, run in round-robin chunks in the
+    psi(x) and the residue base, weights and skipped positions
+    (_weights_upto: views of the tables and, on the primes base, the
+    positions of the higher powers) are read once per call, 4.6 ms and
+    0.3 ms at x = 1e7 on the primes base (1.9 ms with the masked copy of
+    the weights that the skipped positions replace). With workers > 1 the
+    chains, which are independent, run in round-robin chunks in the
     library's one pool (ekgamma._map_chunks), of min(workers, cores)
-    processes that receive the residue base, the weights and psi(x) once
-    each. Each chain does the same arithmetic as in the serial loop and the
-    total is summed in ascending m, so the record is the same bit for bit.
+    processes that receive the residue base, the weights, the skipped
+    positions and psi(x) once each. Each chain does the same arithmetic as
+    in the serial loop and the total is summed in ascending m, so the
+    record is the same bit for bit.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 2.0 <= x <= tables.bound:
         raise ValueError(f"need 2 <= x <= {tables.bound}, got {x}")
     psi_x = psi(tables, x)
-    arr, w = _weights_upto(tables, x, prime_powers)
+    arr, w, skip = _weights_upto(tables, x, prime_powers)
     m_max = int(math.floor(x ** (1.0 - epsilon)))
     chains = _chains(range(1, m_max + 1), partial(_probe_top, m_max))
     per_m = sorted(_map_chunks(_level_errors, chains, workers,
-                               arr, w, psi_x))
+                               arr, w, skip, psi_x))
     return EhProbeRecord(x=float(x), epsilon=float(epsilon), m_max=m_max,
                          total=math.fsum(e for _, e in per_m),
                          per_m=tuple(per_m))
@@ -344,10 +363,11 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
     computed independently.
 
     The left side sums the class sums of the probe's chains, less psi(x).
-    Each level is folded from the pass at _check_top(m, number of weights),
-    which depends on m, x and the base alone: the levels 1..50 make 25
-    passes at x >= 1e4, a level checks the same in any batch, and a pass
-    has at most max(m, number of weights) buckets.
+    Each level is folded from the pass at _check_top(m, number of weights)
+    (pi(x) on the primes base, not the length of the slice the passes
+    read), which depends on m, x and the base alone: the levels 1..50 make
+    25 passes at x >= 1e4, a level checks the same in any batch, and a
+    pass has at most max(m, number of weights) buckets.
 
     The right side uses no psi(x) and no pass over the weights: it is minus
     one exact fsum of the Lambda(n) that psi(x) has and the coprime weights
@@ -362,12 +382,13 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
     if any(m > x for m in levels):
         raise ValueError(f"every m must be <= x={x}, got {max(levels)}")
     psi_x = psi(tables, x)
-    arr, w = _weights_upto(tables, x, prime_powers)
+    arr, w, skip = _weights_upto(tables, x, prime_powers)
     quot, res = _residue_buffers(arr)
     wanted = set(levels)
+    limit = arr.size - skip.size    # the number of weights
     lhs = {m: fsum_array(sums - psi_x / sums.size)
-           for chain in _chains(wanted, partial(_check_top, limit=arr.size))
-           for m, sums in _chain_class_sums(arr, w, chain, quot, res)
+           for chain in _chains(wanted, partial(_check_top, limit=limit))
+           for m, sums in _chain_class_sums(arr, w, skip, chain, quot, res)
            if m in wanted}
     higher = _higher_upto(tables, math.floor(x))
     out = []
@@ -463,9 +484,10 @@ def render(payload, fmt: str) -> str:
     if isinstance(payload, EhProbeRecord):
         return _render_probe(payload, fmt)
     if isinstance(payload, (list, tuple)):
-        if len(payload) == 0 or isinstance(payload[0], ScanRecord):
+        # every element is checked: an empty list is a scan
+        if all(isinstance(r, ScanRecord) for r in payload):
             return _render_scan(payload, fmt)
-        if isinstance(payload[0], RatioBin):
+        if all(isinstance(b, RatioBin) for b in payload):
             return _render_histogram(payload, fmt)
     raise TypeError(f"cannot emit payload of type {type(payload).__name__}")
 

@@ -2,8 +2,8 @@
 
 Everything drives entry() in-process with an isolated --cache-dir, matching
 exactly what the console script would do; one case runs `python -m ekconst`
-in a subprocess, and `decompose 45 --x 1e8` and `probe 1e7 --epsilon 0.9`
-run in fresh interpreters to read their peak RSS.
+in a subprocess, and `decompose 45 --x 1e8`, `probe 1e7 --epsilon 0.9` and
+`probe 1e8 --epsilon 0.75` run in fresh interpreters to read their peak RSS.
 """
 import argparse
 import dataclasses
@@ -251,10 +251,11 @@ def test_decompose_1e8_output_and_peak_rss(tmp_path):
 #: while the tables held int64 primes.
 PROBE_1E7_EPS09_DIGEST = (
     "810e2b0e8ba2a3c4a5f957669fb70da53de9898959003d39725ef68b3088209d")
-#: Peak RSS of that run in MiB: about 53 on uint32 tables read without
-#: full-length copies, 65 while the tables held int64 primes and the probe
-#: copied its base.
-PROBE_1E7_MAX_RSS_MB = 58
+#: Peak RSS of that run in MiB: about 43 while the passes read views of
+#: the tables in blocks, 53 while the primes base held a masked copy of the
+#: weights and a full-length residue buffer, 65 while the tables held int64
+#: primes and the probe copied its base.
+PROBE_1E7_MAX_RSS_MB = 48
 
 
 def test_probe_1e7_output_and_peak_rss():
@@ -266,6 +267,26 @@ def test_probe_1e7_output_and_peak_rss():
     assert (hashlib.sha256(out).hexdigest()
             == PROBE_1E7_EPS09_DIGEST), out.decode()
     assert peak_mb < PROBE_1E7_MAX_RSS_MB, peak_mb
+
+
+#: sha256 of the stdout of `probe 1e8 --epsilon 0.75 --workers 1`, made
+#: while the primes base held a masked copy of the weights.
+PROBE_1E8_DIGEST = (
+    "2fcec33cec5bfff565ed0616a6b4c70de76a085fbebd42ce7e665e2f0e89b171")
+#: Peak RSS of that run in MiB: about 120, the tables to 1e8, against 241
+#: with a masked copy of the weights and a full-length residue buffer of
+#: 46 MB each.
+PROBE_1E8_MAX_RSS_MB = 160
+
+
+def test_probe_1e8_output_and_peak_rss():
+    # 100 levels at the largest table bound: the passes must read the
+    # tables in place
+    out, peak_mb = _run_fresh("probe", "1e8", "--epsilon", "0.75",
+                              "--workers", "1")
+    assert (hashlib.sha256(out).hexdigest()
+            == PROBE_1E8_DIGEST), out.decode()
+    assert peak_mb < PROBE_1E8_MAX_RSS_MB, peak_mb
 
 
 def test_decompose_rejects_the_depth_before_the_sieve(tmp_path, capsys,
@@ -525,6 +546,17 @@ def test_corrupted_cache_blocks_gamma(tmp_path, capsys):
                         str(tmp_path))
     assert code == EXIT_IO
     assert "corrupted" in err
+
+
+@pytest.mark.parametrize("argv", [("cache", "verify"), ("gamma", "5")])
+def test_non_ascii_cache_byte_is_corruption(tmp_path, capsys, argv):
+    # the codec error is a ValueError, which would exit with the usage code
+    (tmp_path / "conductors.csv").write_bytes(
+        b"q,total,imag_residual,tag\n3,0.5,0.0,em16\n4,0.\xc35,0.0,em16\n")
+    code, out, err = _run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith("ekconst: error: cache corrupted")
+    assert "non-ASCII byte 0xc3" in err
 
 
 # ------------------------------------------------------------ error table

@@ -362,15 +362,18 @@ def test_cache_edge_rows_round_trip_bit_exact(tmp_path, newline):
 @pytest.mark.parametrize("defect", ["", "4,nan,0.0,em16\n"])
 def test_cache_non_ascii_byte_reported_at_its_file_offset(tmp_path, defect):
     # the whole file is checked before any row, so a row defect does not
-    # hide the byte, and the offset is not one within a decoding chunk
+    # hide the byte, and the offset is not one within a decoding chunk; a
+    # corrupt file, not a usage error
     rows = "".join(f"{q},0.5,0.0,em16\n" for q in range(5, 2000))
     data = f"{_CACHE_HEADER}\n3,0.5,0.0,em16\n{defect}{rows}".encode("ascii")
     at = 15000
     path = tmp_path / "conductors.csv"
     path.write_bytes(data[:at] + b"\xc3" + data[at + 1:])
-    with pytest.raises(UnicodeDecodeError) as info:
+    line = data.count(b"\n", 0, at) + 1
+    with pytest.raises(CacheCorruption) as info:
         ConductorCache(path)
-    assert info.value.start == at
+    assert str(info.value) == (f"{path}:{line}: non-ASCII byte 0xc3 at "
+                               f"offset {at}")
 
 
 def test_cache_cleared_before_the_open_reads_as_empty(tmp_path, capsys,

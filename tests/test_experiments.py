@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -429,6 +430,13 @@ def _searched_weights(tables, x, prime_powers):
     return arr, w
 
 
+def _kept_weights(tables, x, prime_powers):
+    """The residue base and weights of _weights_upto with the skipped
+    positions removed: copies, as a pass of its own reads them."""
+    arr, w, skip = experiments._weights_upto(tables, x, prime_powers)
+    return np.delete(arr, skip), np.delete(w, skip)
+
+
 @pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("prime_powers", [False, True])
 @pytest.mark.parametrize("x", [2, 3, 4, 7.5, 8, 9, 1e4, 12345.6, 1e5, 1e7])
@@ -437,15 +445,20 @@ def test_weights_match_search_oracle(tables_small, tables_big, x,
     tables = tables_small if x <= tables_small.bound else tables_big
     if wide:    # int64 tables keep the residue base in int64
         tables = _int64_copy(tables)
-    arr, w = experiments._weights_upto(tables, x, prime_powers)
+    arr, w, skip = experiments._weights_upto(tables, x, prime_powers)
     want_arr, want_w = _searched_weights(tables, x, prime_powers)
-    # the base is a view of its table
-    assert np.shares_memory(
-        arr, tables.prime_powers if prime_powers else tables.primes)
-    assert arr.dtype == want_arr.dtype
-    assert arr.tobytes() == want_arr.tobytes()
-    assert w.dtype == want_w.dtype
-    assert w.tobytes() == want_w.tobytes()
+    # the base and its weights are views of the prime-power tables, and
+    # skip is ascending and empty on the prime-powers base
+    assert np.shares_memory(arr, tables.prime_powers)
+    assert np.shares_memory(w, tables.prime_power_logs)
+    assert skip.dtype == np.intp and np.all(np.diff(skip) > 0)
+    assert skip.size == 0 or not prime_powers
+    # what skip leaves is exactly the searched base and weights
+    kept_arr, kept_w = np.delete(arr, skip), np.delete(w, skip)
+    assert kept_arr.dtype == want_arr.dtype
+    assert kept_arr.tobytes() == want_arr.tobytes()
+    assert kept_w.dtype == want_w.dtype
+    assert kept_w.tobytes() == want_w.tobytes()
 
 
 @pytest.mark.parametrize("drop", [0, -1])
@@ -504,14 +517,15 @@ def test_folded_levels_match_one_pass_oracle(tables_big, x, prime_powers):
     probe = eh_probe(x, 0.5, tables_big, prime_powers)
     m_max = probe.m_max
     psi_x = psi(tables_big, x)
-    arr, w = experiments._weights_upto(tables_big, x, prime_powers)
+    arr, w, skip = experiments._weights_upto(tables_big, x, prime_powers)
+    kept = _kept_weights(tables_big, x, prime_powers)
     errors = dict(probe.per_m)
     chains = experiments._chains(range(1, m_max + 1),
                                  partial(experiments._probe_top, m_max))
     for chain in chains:
         for m, sums in experiments._chain_class_sums(
-                arr, w, chain, *experiments._residue_buffers(arr)):
-            want = _coprime_class_sums(arr, w, m)
+                arr, w, skip, chain, *experiments._residue_buffers(arr)):
+            want = _coprime_class_sums(*kept, m)
             want_error = float(np.abs(want - psi_x / want.size).max())
             if 2 * m > m_max:      # a pass of its own: bit for bit
                 assert float.hex(errors[m]) == float.hex(want_error), m
@@ -546,8 +560,8 @@ def test_residue_sum_checks_do_not_depend_on_the_batch(tables_small):
     assert batch == [residue_sum_check(m, 1e4, tables_small)
                      for m in levels]
     for m, (lhs, _) in zip(levels, batch):
-        sums = _coprime_class_sums(*experiments._weights_upto(
-            tables_small, 1e4, False), m)
+        sums = _coprime_class_sums(*_kept_weights(tables_small, 1e4, False),
+                                   m)
         want = math.fsum((sums - psi(tables_small, 1e4) / sums.size).tolist())
         assert lhs == pytest.approx(want, abs=1e-9), m
 
@@ -599,15 +613,54 @@ def test_check_passes_have_at_most_max_m_weights_buckets(
     tops = []
     real = experiments._chain_class_sums
 
-    def spy(arr, w, chain, *buffers):
-        tops.append((chain[0], max(set(chain) & set(levels)), arr.size))
-        return real(arr, w, chain, *buffers)
+    def spy(arr, w, skip, chain, *buffers):
+        # n is the number of weights: the skipped positions are not ones
+        tops.append((chain[0], max(set(chain) & set(levels)),
+                     arr.size - skip.size))
+        return real(arr, w, skip, chain, *buffers)
 
     monkeypatch.setattr(experiments, "_chain_class_sums", spy)
     checks = residue_sum_checks(levels, 1e4, tables_small, prime_powers)
     assert tops and all(top <= max(m, n) for top, m, n in tops)
     for m, (lhs, rhs) in zip(levels, checks):
         assert lhs == pytest.approx(rhs, abs=1e-9), m
+
+
+def _probe_and_check_bits(x, tables, prime_powers):
+    probe = eh_probe(x, 0.5, tables, prime_powers)
+    checks = residue_sum_checks(range(1, 51), x, tables, prime_powers)
+    return (_probe_bits(probe),
+            [(lhs.hex(), rhs.hex()) for lhs, rhs in checks])
+
+
+@pytest.mark.parametrize("block", [64, 1000])
+@pytest.mark.parametrize("prime_powers", [False, True])
+@pytest.mark.parametrize("x", [1e4, 1e5])
+def test_residue_blocks_keep_the_bits(tables_small, monkeypatch, x,
+                                      prime_powers, block):
+    # small blocks put block edges among the skipped higher powers; each
+    # bucket still adds its weights in element order
+    want = _probe_and_check_bits(x, tables_small, prime_powers)
+    monkeypatch.setattr(experiments, "_RESIDUE_BLOCK", block)
+    assert _probe_and_check_bits(x, tables_small, prime_powers) == want
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
+def test_probe_and_check_allocate_no_full_length_array(tables_big,
+                                                       prime_powers):
+    # the passes read views of the tables in blocks: at x = 1e7 a masked
+    # copy of the weights or a full-length residue buffer is 5.3 MB
+    for run in (lambda: eh_probe(1e7, 0.9, tables_big, prime_powers,
+                                 workers=1),
+                lambda: residue_sum_checks(range(1, 51), 1e7, tables_big,
+                                           prime_powers)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 def test_check_tops_up_to_200_keep_five_factors_of_2():
@@ -737,6 +790,16 @@ def test_unknown_format_and_payload_rejected(tmp_path):
         render(object(), "csv")
     with pytest.raises(TypeError):
         render([1, 2, 3], "csv")
+
+
+@pytest.mark.parametrize("payload", [
+    [ScanRecord(3, 1.0, 1.0, 1.0, 0.0), 1],
+    (RatioBin(0.0, 1.0, 2), "bin"),
+    [RatioBin(0.0, 1.0, 2), ScanRecord(3, 1.0, 1.0, 1.0, 0.0)],
+])
+def test_render_checks_every_element(payload):
+    with pytest.raises(TypeError, match="cannot emit payload"):
+        render(payload, "csv")
 
 
 def test_parse_scan_csv_rejects_bad_header(tmp_path):
