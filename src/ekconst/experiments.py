@@ -30,7 +30,8 @@ import numpy as np
 from .accum import fsum_array
 from .ekgamma import ConductorCache, _map_chunks
 from .sieve import (ArithmeticTables, _higher_powers, _lambda_of, _prefix,
-                    _search, coprime_mask, factorize, psi, residues)
+                    _primes_upto, _search, coprime_mask, factorize, psi,
+                    residues)
 from .stieltjes import EULER_GAMMA
 
 SCAN_HEADER = "q,gamma_q,log_q,ratio,abs_dev"
@@ -184,11 +185,11 @@ def ratio_histogram(records: list[ScanRecord], bins: int) -> list[RatioBin]:
     return out
 
 
-def _higher_upto(tables: ArithmeticTables, xi: int) -> list[int]:
-    """The prime powers p^v <= xi with v >= 2, from sieve._higher_powers."""
-    roots = tables.primes[:_search(tables.primes, math.isqrt(xi),
-                                   side="right")].tolist()
-    return [pv for pv, _ in _higher_powers(roots, xi)]
+def _higher_upto(xi: int) -> list[int]:
+    """The prime powers p^v <= xi with v >= 2, from sieve._higher_powers
+    over the primes <= sqrt(xi) of sieve._primes_upto: a recomputation
+    that does not read the tables."""
+    return [pv for pv, _ in _higher_powers(_primes_upto(math.isqrt(xi)), xi)]
 
 
 def _weights_upto(tables: ArithmeticTables, x: float, prime_powers: bool):
@@ -201,20 +202,19 @@ def _weights_upto(tables: ArithmeticTables, x: float, prime_powers: bool):
     primes below 1e7 on a 2-core x86-64 Xeon with numpy 2.4. skip holds
     the ascending positions in arr of the elements that are not in the
     base: none on the prime-powers base, and on the primes base the higher
-    powers p^v (v >= 2) from _higher_upto, which a pass buckets apart
-    (_chain_class_sums). The elements that skip leaves must be the primes
-    <= x: the self-check's right side is built from the same higher
-    powers, so a power missed here raises instead of cancelling there.
+    powers p^v (v >= 2), the leading slice of tables.higher_at below
+    arr.size, which a pass buckets apart (_chain_class_sums). arr[skip]
+    must be the sorted powers of _higher_upto, in count and in place, so
+    what skip leaves is the primes <= x: the self-check's right side is
+    built from those same powers, so a wrong position raises here instead
+    of cancelling there.
     """
     arr, w = _prefix(tables, x)
     if prime_powers:
         return arr, w, np.empty(0, dtype=np.intp)
     xi = math.floor(x)
-    higher = sorted(_higher_upto(tables, xi))    # _higher_powers is by p
-    skip = _search(arr, higher)
-    n_primes = int(_search(tables.primes, xi, side="right"))
-    if (arr.size - len(higher) != n_primes
-            or not np.array_equal(arr[skip], higher)):
+    skip = tables.higher_at[:_search(tables.higher_at, arr.size)]
+    if not np.array_equal(arr[skip], sorted(_higher_upto(xi))):
         raise RuntimeError(f"the prime powers <= {xi} without the "
                            "higher powers are not the primes")
     return arr, w, skip
@@ -369,10 +369,12 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
     25 passes at x >= 1e4, a level checks the same in any batch, and a
     pass has at most max(m, number of weights) buckets.
 
-    The right side uses no psi(x) and no pass over the weights: it is minus
-    one exact fsum of the Lambda(n) that psi(x) has and the coprime weights
+    The right side uses no psi(x), no pass over the weights and not the
+    positions tables.higher_at that the primes base skips: it is minus one
+    exact fsum of the Lambda(n) that psi(x) has and the coprime weights
     lack, a few hundred values read from the tables (sieve._lambda_of) at
-    the prime factors of m and the higher powers of the primes <= sqrt(x).
+    the prime factors of m and the higher powers that _higher_upto
+    recomputes from the primes <= sqrt(x).
     """
     levels = list(levels)
     if any(m < 1 for m in levels):
@@ -390,7 +392,7 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
            for chain in _chains(wanted, partial(_check_top, limit=limit))
            for m, sums in _chain_class_sums(arr, w, skip, chain, quot, res)
            if m in wanted}
-    higher = _higher_upto(tables, math.floor(x))
+    higher = _higher_upto(math.floor(x))
     out = []
     for m in levels:
         # psi(x) has Lambda(n) that the coprime weights lack at n = p | m

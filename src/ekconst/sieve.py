@@ -4,10 +4,12 @@ One segmented sieve yields the primes up to a bound: 2, then the odd
 primes a segment at a time, with one flag per odd number. Its base, the
 primes up to the square root of the bound, comes from the same sieve one
 level down (_primes_upto); there is no second sieve. build_tables()
-keeps them as compact ascending arrays: the primes and the prime powers as
-uint32, and log p at each prime power p^v (the von Mangoldt weight). These
-are what every downstream Lambda-weighted sum iterates over: _prefix gives
-the prime powers up to x with their weights, and _lambda_of reads Lambda at
+keeps two full-length ascending arrays: the prime powers as uint32, and
+log p at each prime power p^v (the von Mangoldt weight); next to them, the
+positions of the few p^v with v >= 2, so the primes are the prime powers
+without those positions, and no array of the primes is kept. These are
+what every downstream Lambda-weighted sum iterates over: _prefix gives the
+prime powers up to x with their weights, and _lambda_of reads Lambda at
 given prime powers. Every search of a table goes through _search, which
 casts its needle to the table's dtype. The streaming variants of psi and
 psi_mod run the same sieve, on int64 segments, but never keep more than
@@ -32,9 +34,9 @@ import numpy as np
 from .accum import fixed_sum, fsum_array, round_fixed
 
 #: Hard cap on table construction; beyond this use the streaming functions.
-#: At the cap the tables take 88 MiB, and a process that builds them peaks
-#: at about 119 MiB RSS (measured with numpy 2.4 on x86-64). The cap stays
-#: below 2^32, so the primes and prime powers fit uint32.
+#: At the cap the tables take 66 MiB, and a process that builds them peaks
+#: at about 97 MiB RSS (measured with numpy 2.4 on x86-64). The cap stays
+#: below 2^32, so the prime powers fit uint32.
 MAX_TABLE_BOUND = 100_000_000
 assert MAX_TABLE_BOUND < 2**32
 
@@ -52,13 +54,17 @@ class ArithmeticTables:
     """Immutable compact prime tables on [0, bound]."""
 
     bound: int
-    primes: np.ndarray           # uint32; ascending primes <= bound
     prime_powers: np.ndarray     # uint32; ascending prime powers p^v <= bound
     prime_power_logs: np.ndarray  # float64; Lambda = log p at prime_powers
+    # intp; ascending positions in prime_powers of the p^v with v >= 2,
+    # 1,404 at the cap: np.delete(prime_powers, higher_at) are the primes,
+    # and _primes_upto gives the primes up to a small bound
+    higher_at: np.ndarray
 
 
 def build_tables(bound: int) -> ArithmeticTables:
-    """Sieve the primes and prime powers up to bound (inclusive).
+    """Sieve the prime powers up to bound (inclusive), with their logs
+    and the positions of the higher powers among them.
 
     Raises CapacityError when bound exceeds MAX_TABLE_BOUND and ValueError
     when bound < 2.
@@ -80,14 +86,17 @@ def build_tables(bound: int) -> ArithmeticTables:
     higher = sorted(_higher_powers(base, bound))
     at = _search(primes, [pv for pv, _ in higher])
     pp = np.insert(primes, at, [pv for pv, _ in higher])
+    higher_at = at + np.arange(at.size)
+    # the primes go before the logs are made, so the two never coexist
+    del primes
     # log p^v is written over with log p at the higher powers
     pp_logs = np.log(pp, dtype=np.float64)
-    pp_logs[at + np.arange(at.size)] = [logp for _, logp in higher]
+    pp_logs[higher_at] = [logp for _, logp in higher]
 
-    for arr in (primes, pp, pp_logs):
+    for arr in (pp, pp_logs, higher_at):
         arr.flags.writeable = False
-    return ArithmeticTables(bound=bound, primes=primes, prime_powers=pp,
-                            prime_power_logs=pp_logs)
+    return ArithmeticTables(bound=bound, prime_powers=pp,
+                            prime_power_logs=pp_logs, higher_at=higher_at)
 
 
 def _check_x(tables: ArithmeticTables, x: float) -> None:

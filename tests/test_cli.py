@@ -233,10 +233,11 @@ def _run_fresh(*argv):
 #: read the prime powers in slices.
 DECOMPOSE_1E8_DIGEST = (
     "d54f51daeaff88e78308fda0a86e86910f89b7f16c6c07b0e3f927916291af9b")
-#: Peak RSS of that run in MiB. The tables to 1e8 alone bring a process to
-#: about 122 MiB (212 while they held int64 primes); full-length
-#: temporaries of the long sums took it to 348.
-DECOMPOSE_1E8_MAX_RSS_MB = 250
+#: Peak RSS of that run in MiB: about 100, the tables to 1e8 and no
+#: primes array next to them. They brought it to 122 while they held a
+#: uint32 copy of the primes and to 212 while they held int64 primes;
+#: full-length temporaries of the long sums took it to 348.
+DECOMPOSE_1E8_MAX_RSS_MB = 115
 
 
 def test_decompose_1e8_output_and_peak_rss(tmp_path):
@@ -251,11 +252,12 @@ def test_decompose_1e8_output_and_peak_rss(tmp_path):
 #: while the tables held int64 primes.
 PROBE_1E7_EPS09_DIGEST = (
     "810e2b0e8ba2a3c4a5f957669fb70da53de9898959003d39725ef68b3088209d")
-#: Peak RSS of that run in MiB: about 43 while the passes read views of
-#: the tables in blocks, 53 while the primes base held a masked copy of the
-#: weights and a full-length residue buffer, 65 while the tables held int64
-#: primes and the probe copied its base.
-PROBE_1E7_MAX_RSS_MB = 48
+#: Peak RSS of that run in MiB: about 40 with no primes array in the
+#: tables, 42.5 while they held a uint32 copy of the primes, 53 while the
+#: primes base held a masked copy of the weights and a full-length residue
+#: buffer, 65 while the tables held int64 primes and the probe copied its
+#: base.
+PROBE_1E7_MAX_RSS_MB = 45
 
 
 def test_probe_1e7_output_and_peak_rss():
@@ -273,10 +275,10 @@ def test_probe_1e7_output_and_peak_rss():
 #: while the primes base held a masked copy of the weights.
 PROBE_1E8_DIGEST = (
     "2fcec33cec5bfff565ed0616a6b4c70de76a085fbebd42ce7e665e2f0e89b171")
-#: Peak RSS of that run in MiB: about 120, the tables to 1e8, against 241
-#: with a masked copy of the weights and a full-length residue buffer of
-#: 46 MB each.
-PROBE_1E8_MAX_RSS_MB = 160
+#: Peak RSS of that run in MiB: about 98, the tables to 1e8, against 120
+#: while they held a uint32 copy of the primes and 241 with a masked copy
+#: of the weights and a full-length residue buffer of 46 MB each.
+PROBE_1E8_MAX_RSS_MB = 115
 
 
 def test_probe_1e8_output_and_peak_rss():

@@ -19,6 +19,7 @@ from ekconst import (ConductorCache, EhProbeRecord, RatioBin, ScanRecord,
 from ekconst import ekgamma, sieve
 from ekconst.experiments import (HISTOGRAM_HEADER, PER_M_HEADER,
                                  PROBE_HEADER, SCAN_HEADER)
+from sieve_oracle import plain_sieve
 
 
 def _toy_records():
@@ -318,7 +319,7 @@ def test_eh_probe_m1_is_theta_minus_psi(tables_small):
     probe = eh_probe(x, 0.999, tables_small)   # m_max = 1
     assert probe.m_max == 1
     theta = math.fsum(
-        math.log(p) for p in tables_small.primes[tables_small.primes <= x])
+        math.log(p) for p in plain_sieve(math.floor(x)).tolist())
     want = abs(theta - psi(tables_small, x))
     assert probe.total == pytest.approx(want, abs=1e-10)
     assert probe.per_m == ((1, pytest.approx(want, abs=1e-10)),)
@@ -382,11 +383,10 @@ def test_eh_probe_parallel_equals_serial(tables_small, prime_powers):
 
 
 def _int64_copy(tables):
-    """The tables with int64 primes and prime powers, as they were stored
-    before they were narrowed to uint32."""
+    """The tables with int64 prime powers, as they were stored before they
+    were narrowed to uint32."""
     return dataclasses.replace(
-        tables, primes=tables.primes.astype(np.int64),
-        prime_powers=tables.prime_powers.astype(np.int64))
+        tables, prime_powers=tables.prime_powers.astype(np.int64))
 
 
 @pytest.mark.parametrize("prime_powers", [False, True])
@@ -423,8 +423,10 @@ def test_probe_does_not_depend_on_the_table_bound(tables_small, x,
 def _searched_weights(tables, x, prime_powers):
     """The residue base and weights by a search of every base element in
     the prime-power table: the route _weights_upto took before it sliced
-    the table."""
-    base = tables.prime_powers if prime_powers else tables.primes
+    the table. The primes base comes from plain_sieve, in the dtype of the
+    table."""
+    base = tables.prime_powers if prime_powers else plain_sieve(
+        math.floor(x)).astype(tables.prime_powers.dtype)
     arr = base[:np.searchsorted(base, math.floor(x), side="right")]
     w = tables.prime_power_logs[np.searchsorted(tables.prime_powers, arr)]
     return arr, w
@@ -478,6 +480,35 @@ def test_primes_base_needs_every_higher_power(tables_small, monkeypatch,
         eh_probe(1e5, 0.5, tables_small)
     with pytest.raises(RuntimeError, match="not the primes"):
         residue_sum_checks([1, 6], 1e5, tables_small)
+
+
+def _damaged_higher_at(tables, damage):
+    """tables whose higher_at lacks its middle position, or holds an extra
+    one: the middle position of a prime."""
+    at = tables.higher_at
+    if damage == "lacks":
+        bad = np.delete(at, at.size // 2)
+    else:
+        primes_at = np.setdiff1d(np.arange(tables.prime_powers.size), at)
+        bad = np.union1d(at, primes_at[primes_at.size // 2])
+    return dataclasses.replace(tables, higher_at=bad)
+
+
+@pytest.mark.parametrize("damage", ["lacks", "extra"])
+def test_damaged_higher_positions_raise_on_the_primes_base(tables_small,
+                                                           damage):
+    # the positions are checked against a recomputation of the higher
+    # powers that does not read them; the prime-powers base skips nothing
+    # and reads none of them
+    bad = _damaged_higher_at(tables_small, damage)
+    assert bad.higher_at.size == tables_small.higher_at.size + (
+        1 if damage == "extra" else -1)
+    with pytest.raises(RuntimeError, match="not the primes"):
+        eh_probe(1e5, 0.5, bad)
+    with pytest.raises(RuntimeError, match="not the primes"):
+        residue_sum_checks([1, 6], 1e5, bad)
+    assert _probe_and_check_bits(1e5, bad, True) == \
+        _probe_and_check_bits(1e5, tables_small, True)
 
 
 def _coprime_class_sums(arr, w, m):
@@ -572,7 +603,7 @@ def _gcd_filter_rhs(m, x, tables, prime_powers=False):
     if prime_powers:
         base, logs = tables.prime_powers, tables.prime_power_logs
     else:
-        base = tables.primes
+        base = plain_sieve(math.floor(x))
         logs = np.log(base.astype(np.float64))
     keep = (base <= x) & (np.gcd(base, m) == 1)
     return math.fsum(logs[keep].tolist()) - psi(tables, x)

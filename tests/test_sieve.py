@@ -15,6 +15,7 @@ from ekconst import (CapacityError, build_tables, divisors, factorize, mobius,
 from ekconst import sieve
 from ekconst.sieve import (MAX_TABLE_BOUND, STREAM_SEGMENT, coprime_mask,
                            residues)
+from sieve_oracle import plain_sieve
 
 
 def _factor(n):
@@ -36,19 +37,6 @@ def _lam_ref(n):
         (p, _), = f.items()
         return math.log(p)
     return 0.0
-
-
-def _plain_sieve(limit):
-    """The primes <= limit from a boolean sieve of all the integers: a
-    reference that shares no code with the library's segmented sieve."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -108,17 +96,19 @@ def test_segmented_primes_match_plain_sieve(bound):
     # three, 4S + 3 and 4S + 5 open a third; S - 1 to S + 2 end inside the
     # first; 4, 9 and 25 end on a prime square. The tables narrow each
     # segment to uint32; the streaming routes read the int64 segments.
-    primes = build_tables(bound).primes
-    assert primes.dtype == np.uint32
-    assert np.array_equal(primes, _plain_sieve(bound))
+    tables = build_tables(bound)
+    primes = plain_sieve(bound)
+    assert tables.prime_powers.dtype == np.uint32
+    assert np.array_equal(np.delete(tables.prime_powers, tables.higher_at),
+                          primes)
     segments = list(sieve._segment_primes(
-        bound, _plain_sieve(math.isqrt(bound)).tolist()))
+        bound, plain_sieve(math.isqrt(bound)).tolist()))
     assert {found.dtype for found in segments} == {np.dtype(np.int64)}
     assert np.array_equal(np.concatenate(segments), primes)
 
 
 def test_primes_upto_matches_plain_sieve():
-    ref = _plain_sieve(3000).tolist()
+    ref = plain_sieve(3000).tolist()
     for n in range(3001):
         assert sieve._primes_upto(n) == [p for p in ref if p <= n], n
 
@@ -132,13 +122,13 @@ def test_primes_upto_at_the_segment_edges(monkeypatch, n):
     # 32, 5 and 2, and (2S + 3)^2 through 2S + 3, whose primes are sieved
     # in two segments
     monkeypatch.setattr(sieve, "STREAM_SEGMENT", _S)
-    assert sieve._primes_upto(n) == _plain_sieve(n).tolist()
+    assert sieve._primes_upto(n) == plain_sieve(n).tolist()
 
 
 def test_prime_listing(tables):
     ref = [n for n in range(2, 3001) if len(_factor(n)) == 1
            and sum(_factor(n).values()) == 1]
-    assert tables.primes.tolist() == ref
+    assert np.delete(tables.prime_powers, tables.higher_at).tolist() == ref
 
 
 def test_prime_powers_sorted_and_complete(tables):
@@ -147,6 +137,41 @@ def test_prime_powers_sorted_and_complete(tables):
     assert tables.prime_powers.tolist() == ref
     assert np.allclose(tables.prime_power_logs,
                        [_lam_ref(n) for n in ref], atol=1e-15)
+
+
+def _check_table_invariants(tables):
+    """The prime powers less the positions higher_at are the plain sieve's
+    primes, and at those positions the tables hold the p^v with v >= 2 of
+    a direct enumeration and log p, bit for bit."""
+    bound = tables.bound
+    higher = sorted((p**v, p) for p in plain_sieve(math.isqrt(bound)).tolist()
+                    for v in range(2, bound.bit_length()) if p**v <= bound)
+    at = tables.higher_at
+    assert at.dtype == np.intp and not at.flags.writeable
+    assert np.all(np.diff(at) > 0)
+    assert np.array_equal(np.delete(tables.prime_powers, at),
+                          plain_sieve(bound))
+    assert tables.prime_powers[at].tolist() == [pv for pv, _ in higher]
+    assert [v.hex() for v in tables.prime_power_logs[at].tolist()] == \
+        [math.log(p).hex() for _, p in higher]
+
+
+@pytest.mark.parametrize("bound", _segment_edges(STREAM_SEGMENT))
+def test_table_invariants_at_the_segment_edges(bound):
+    _check_table_invariants(build_tables(bound))
+
+
+def test_table_invariants_up_to_3000():
+    for bound in range(2, 3001):
+        _check_table_invariants(build_tables(bound))
+
+
+def test_tables_at_1e7_hold_at_most_8_mib(tables_big):
+    # the prime powers (uint32), their logs (float64) and the few hundred
+    # positions of the higher powers: 7.6 MiB, where a uint32 copy of the
+    # primes brought them to 10.2
+    arrays = [v for v in vars(tables_big).values() if hasattr(v, "nbytes")]
+    assert sum(a.nbytes for a in arrays) <= 8.0 * 2**20
 
 
 def test_psi_small_enumeration(tables):
@@ -227,7 +252,7 @@ def test_streaming_matches_tables(tables, monkeypatch, bound):
     assert [xi for xi, _ in calls].count(bound) == 2
     for xi, segments in calls:
         edges = [2] + list(range(3, xi + 1, 2 * _S)) + [xi + 1]
-        ref = _plain_sieve(xi).tolist()
+        ref = plain_sieve(xi).tolist()
         assert segments == [[p for p in ref if lo <= p < hi]
                             for lo, hi in zip(edges, edges[1:])], xi
 
