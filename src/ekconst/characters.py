@@ -6,16 +6,20 @@ nothing for 2^1, the single class of 3 for 2^2, and the pair {-1, 5} for
 2^k with k >= 3. A character is the tuple of its exponents against these
 generators; values are exact roots of unity exp(2*pi*i*t/L) with the integer
 t computed in exact arithmetic and converted to complex only at the last
-step. conductor_grid is the one conductor rule: it gives the conductors of
-all characters of a group at once, built once per group, and both
-DirichletCharacter.conductor and primitive_characters read it. A
-character's single values, parity included, come from its value table.
+step. _conductor_factors is the one conductor rule: one factor per
+component (one for the 2-part's pair), whose outer product is
+conductor_grid, the conductors of all characters of a group at once, built
+once per group and read by DirichletCharacter.conductor. primitive_mask
+compares each factor with its prime power instead, so primitive_characters
+and the conductor totals pick the primitive characters without the int64
+grid. A character's single values, parity included, come from its value
+table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -163,7 +167,7 @@ def principal_character(group: CharacterGroup) -> DirichletCharacter:
 
 def primitive_characters(group: CharacterGroup) -> list[DirichletCharacter]:
     """The characters of conductor q, in the order of enumerate_characters."""
-    ranks = np.flatnonzero(conductor_grid(group).reshape(-1) == group.modulus)
+    ranks = np.flatnonzero(primitive_mask(group).reshape(-1))
     return [DirichletCharacter(group, tuple(int(v) for v in
                                             group.exp_vectors[r]))
             for r in ranks]
@@ -189,6 +193,7 @@ def _geometric(g: int, n: int, modulus: int) -> list[int]:
     return out
 
 
+@cache
 def _primitive_root(p: int, k: int) -> int:
     """Smallest primitive root mod p, adjusted to generate mod p^k."""
     fac = [r for r, _ in factorize(p - 1)]
@@ -241,43 +246,69 @@ def conductor_grid(group: CharacterGroup) -> np.ndarray:
     """Conductors of all characters at once, shaped like the exponent grid.
 
     Entry [k1, ..., kr] is the conductor of the character with that exponent
-    tuple. Per component it is the smallest prime power the character's
-    restriction factors through: p^(j+1) for an odd p when the order of the
-    restriction is p^j times a divisor of p - 1 and exceeds 1; for the
-    2-part, 2^(m+2) when the 5-exponent has order 2^m > 1, else 4 when the
-    sign (or mod-4) exponent is odd. So the grid is the outer product of
-    one 1-D factor per component, with one 2-D factor for the 2-part's sign
-    and 5-exponent pair. It is built once per group and kept read-only on
-    it.
+    tuple: the outer product of the factors of _conductor_factors. It is
+    built once per group and kept read-only on it.
     """
     if group.conductors is not None:
         return group.conductors
     cond = np.ones((), dtype=np.int64)
-    comps = group.components
-    i = 0
-    while i < len(comps):
-        comp = comps[i]
-        k = np.arange(comp.order, dtype=np.int64)
-        if comp.kind == "odd":
-            # for the factor p^e, p^(j+1) = p * gcd(o, p^(e-1)), as o
-            # divides p^(e-1) * (p - 1)
-            p = comp.prime
-            o = comp.order // np.gcd(k, comp.order)
-            factor = np.where(o > 1, p * np.gcd(o, p ** (comp.prime_exp - 1)),
-                              1)
-            i += 1
-        elif comp.kind == "two":
-            factor = np.where(k % 2 == 1, 4, 1)
-            i += 1
-        else:
-            # one 2-D factor over (sign exponent, 5-exponent): o5 = 2^m
-            d5 = comps[i + 1].order
-            o5 = d5 // np.gcd(np.arange(d5, dtype=np.int64), d5)
-            factor = np.where(o5 > 1, 4 * o5,
-                              np.where(k[:, None] % 2 == 1, 4, 1))
-            i += 2
+    for factor, _ in _conductor_factors(group):
         cond = np.multiply.outer(cond, factor)
     cond = cond.reshape(group.orders or (1,))
     cond.flags.writeable = False
     group.conductors = cond
     return cond
+
+
+def primitive_mask(group: CharacterGroup) -> np.ndarray:
+    """conductor_grid(group) == q as a boolean array, built from the same
+    factors without the int64 grid: a character is primitive where every
+    factor is the whole prime power of q it belongs to. q = 2 mod 4 has no
+    factor for its 2 and so no primitive character."""
+    mask = np.array(group.modulus % 4 != 2)
+    for factor, level in _conductor_factors(group):
+        mask = np.logical_and.outer(mask, factor == level)
+    return mask.reshape(group.orders or (1,))
+
+
+def _conductor_factors(group: CharacterGroup):
+    """The one conductor rule: (factor, level) per factor of the conductor
+    grid, in component order, level the prime power of q the factor divides.
+
+    Per component the factor is the smallest prime power the character's
+    restriction factors through. For an odd p^e with exponent k against a
+    generator of order p^(e-1) * (p - 1) it is 1 at k = 0, else
+    p^(e - min(v, e - 1)) with p^v the power of p in k. For the 2-part,
+    2^e with exponent k against 5, of order 2^(e-2), it is 2^(e - v) at
+    k != 0, else 4 where the sign (or, for e = 2, the mod-4) exponent is
+    odd, and 1. So each factor is 1-D over one component's exponents,
+    except one 2-D factor over the 2-part's sign and 5-exponent pair.
+    """
+    comps = group.components
+    i = 0
+    while i < len(comps):
+        comp = comps[i]
+        p, e = comp.prime, comp.prime_exp
+        if comp.kind == "odd":
+            factor = _dividing_powers(comp.order, p, e, e)
+            factor[0] = 1
+            i += 1
+        elif comp.kind == "two":
+            factor = np.array([1, 4], dtype=np.int64)
+            i += 1
+        else:
+            factor = np.tile(_dividing_powers(comps[i + 1].order, 2, e, e - 2),
+                             (2, 1))
+            factor[:, 0] = (1, 4)
+            i += 2
+        yield factor, p**e
+
+
+def _dividing_powers(n: int, p: int, e: int, top: int) -> np.ndarray:
+    """p^e divided by p once for each p^t, 0 < t < top, that divides k, at
+    k = 0 .. n - 1: p^(e - min(v, top - 1)) with p^v the power of p in k,
+    and p^(e - top + 1) at k = 0, which the caller overwrites."""
+    factor = np.full(n, p**e, dtype=np.int64)
+    for t in range(1, top):
+        factor[::p**t] //= p
+    return factor

@@ -8,15 +8,20 @@ out because conductors congruent to 2 mod 4 carry no primitive characters.
 
 The batch evaluator computes all character sums of one conductor at once: the
 sums sum_a chi(a) w(a/q) over the unit group are a multidimensional DFT of w
-arranged on the exponent grid, so one inverse FFT per weight table yields
-L(1, chi) and L'(1, chi) for every character simultaneously. The weights
-gamma_0(a/q) and gamma_1(a/q) are needed only at the phi(q) units, and
-conductor_totals evaluates them for many conductors at once: it concatenates
-their unit arguments and runs the Euler-Maclaurin evaluation over blocks of
-about EM_BLOCK_POINTS of them, so numpy's per-call overhead is paid per block
-rather than per conductor. characters.conductor_grid picks the primitive
-characters. A per-character scalar route in the test suite cross-checks the
-DFT.
+arranged on the exponent grid, so one inverse FFT over the grid's axes, of
+the two weight tables stacked, yields L(1, chi) and L'(1, chi) for every
+character simultaneously. The weights gamma_0(a/q) and gamma_1(a/q) are
+needed only at the phi(q) units, and conductor_totals evaluates them for
+many conductors at once: it concatenates their unit arguments and runs the
+Euler-Maclaurin evaluation over blocks of about EM_BLOCK_POINTS of them, so
+numpy's per-call overhead is paid per block rather than per conductor.
+characters.primitive_mask picks the primitive characters, and one
+accum.fsum_segments call per batch sums the real and imaginary
+log-derivatives of every conductor of the batch, each exactly and rounded
+once, the same floats as one math.fsum per conductor and part. A
+per-character scalar route in the test suite cross-checks the DFT, and a
+per-conductor route with its own tables, two FFTs and one sum per part
+checks every bit of the batch.
 
 ConductorCache.fill(qs, workers) is the library's one route from
 conductors to totals: gamma_q, decompose and scan_range all read their
@@ -61,9 +66,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .accum import fsum_array
+from .accum import fsum_array, fsum_segments
 from .characters import (CharacterGroup, DirichletCharacter, build_group,
-                         conductor_grid)
+                         primitive_mask)
 from .sieve import divisors, totient
 from .stieltjes import (DEFAULT_EM_TERMS, EULER_GAMMA, _check_em_terms,
                         _em_laurent, digamma_rational)
@@ -181,9 +186,10 @@ def conductor_totals(qs, n_terms: int = DEFAULT_EM_TERMS
     others are concatenated across consecutive conductors into batches of
     at most EM_BLOCK_POINTS, one _em_laurent call each; a conductor with
     more units forms a batch of its own, evaluated block by block. Each
-    conductor's values then go back onto its exponent grid for the two
-    FFTs. _em_laurent is elementwise, so every total is the same bit for
-    bit as when each conductor is evaluated alone.
+    conductor's values then go back onto its exponent grid for its FFT,
+    and the batch's log-derivatives into one segmented exact sum.
+    _em_laurent is elementwise and each sum is exact, so every total is the
+    same bit for bit as when each conductor is evaluated alone.
     """
     qs = list(qs)
     for q in qs:
@@ -211,23 +217,34 @@ def conductor_totals(qs, n_terms: int = DEFAULT_EM_TERMS
 
 def _batch_totals(batch, n_terms: int, tag: str, out: list) -> None:
     """Totals of the (index, group) pairs of one batch, tagged tag, stored
-    at out[index]."""
+    at out[index]: the log-derivatives of every conductor, then one
+    segmented exact sum over their real and imaginary parts."""
     x = np.concatenate([g.unit_grid.reshape(-1) / g.modulus
                         for _, g in batch])
-    g0 = np.empty_like(x)
-    g1 = np.empty_like(x)
+    # row 0 gamma_0, row 1 gamma_1, at the batch's unit arguments
+    weights = np.empty((2, x.size))
     for start in range(0, x.size, EM_BLOCK_POINTS):
         part = slice(start, start + EM_BLOCK_POINTS)
         c0, c1, _ = _em_laurent(x[part], n_terms)
-        g0[part] = c0
-        g1[part] = -c1
+        weights[0, part] = c0
+        weights[1, part] = -c1
+    del x    # the FFTs of a large conductor set the peak
+    logderivs = []
     start = 0
-    for i, group in batch:
+    for _, group in batch:
         stop = start + group.phi
-        shape = group.unit_grid.shape
-        out[i] = _dft_total(group, g0[start:stop].reshape(shape),
-                            g1[start:stop].reshape(shape), tag)
+        logderivs.append(_log_derivatives(
+            group, weights[:, start:stop].reshape(
+                (2,) + group.unit_grid.shape)))
         start = stop
+    del weights
+    sizes = [v.size for v in logderivs]
+    sums = fsum_segments(np.concatenate([v.real for v in logderivs]
+                                        + [v.imag for v in logderivs]),
+                         sizes + sizes)
+    for (i, group), total, imag in zip(batch, sums, sums[len(batch):]):
+        out[i] = ConductorTotal(q=group.modulus, total=total,
+                                imag_residual=abs(imag), tag=tag)
 
 
 def l_at_one(chi: DirichletCharacter) -> complex:
@@ -243,26 +260,27 @@ def l_at_one(chi: DirichletCharacter) -> complex:
     return -complex(fsum_array(terms.real), fsum_array(terms.imag)) / q
 
 
-def _dft_total(group: CharacterGroup, w0: np.ndarray, w1: np.ndarray,
-               tag: str) -> ConductorTotal:
-    """One conductor's total from gamma_0 and gamma_1 on its unit grid."""
+def _log_derivatives(group: CharacterGroup, weights: np.ndarray
+                     ) -> np.ndarray:
+    """L'/L(1, chi) at the primitive characters of one conductor, in the
+    order of its exponent grid, from gamma_0 and gamma_1 on its unit grid,
+    the two rows of weights. One inverse FFT over the grid's axes takes
+    both rows."""
     q = group.modulus
-    mask = conductor_grid(group) == q
-    size = group.phi
-    big0 = np.fft.ifftn(w0) * size
-    big1 = np.fft.ifftn(w1) * size
-    sel0 = big0[mask]
-    sel1 = big1[mask]
+    sums = np.fft.ifftn(weights, axes=range(1, weights.ndim))
+    sums *= group.phi
+    mask = primitive_mask(group)
+    sel0 = sums[0][mask]
+    sel1 = sums[1][mask]
+    del sums
     min_l = float(np.min(np.abs(sel0))) / q
     if min_l <= MIN_ABS_L:
         raise ArithmeticError(
             f"|L(1, chi)| as small as {min_l:.3e} at conductor {q}; "
             "log-derivatives would be unreliable"
         )
-    logderiv = -math.log(q) - sel1 / sel0
-    total = fsum_array(logderiv.real)
-    imag = abs(fsum_array(logderiv.imag))
-    return ConductorTotal(q=q, total=total, imag_residual=imag, tag=tag)
+    sel1 /= sel0
+    return np.subtract(-math.log(q), sel1, out=sel1)
 
 
 class CacheCorruption(ValueError):

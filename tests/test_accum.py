@@ -2,16 +2,18 @@
 
 fsum_array hands arrays shorter than _KERNEL_MIN to math.fsum, so each case
 on short lists also runs the kernel route of a long array (_kernel_sum)
-against math.fsum."""
+against math.fsum. fsum_segments is checked segment by segment against
+math.fsum of each segment."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ekconst import accum, fsum_array
-from ekconst.accum import CHUNK, _KERNEL_MIN, fixed_sum, round_fixed
+from ekconst.accum import (CHUNK, _KERNEL_MIN, fixed_sum, fsum_segments,
+                           round_fixed)
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -177,3 +179,104 @@ def test_fsum_array_size_rule(monkeypatch, size, view):
     assert float.hex(fsum_array(arr)) == want
     assert float.hex(_kernel_sum(arr)) == want
     assert calls == ([size] if size >= _KERNEL_MIN else [])
+
+
+# ------------------------------------------------------ segmented sums
+
+#: near the largest finite float, where math.fsum may overflow part way
+huge = st.floats(min_value=1e307, max_value=1.7976931348623157e308).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+signed_zero = st.sampled_from([0.0, -0.0])
+special = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _segments_outcome(fn, segments):
+    """The float.hex of each sum of fn over the segments, or the type of
+    the exception it raised."""
+    try:
+        return [float.hex(v) for v in fn(segments)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _fsum_each(segments):
+    return [math.fsum(seg) for seg in segments]
+
+
+def _fsum_segments(segments):
+    arr = np.array([x for seg in segments for x in seg], dtype=np.float64)
+    return fsum_segments(arr, [len(seg) for seg in segments])
+
+
+def _same_as_fsum_each(segments):
+    assert (_segments_outcome(_fsum_segments, segments)
+            == _segments_outcome(_fsum_each, segments))
+
+
+# a few ms an example, more where the exponents span the whole range
+@settings(deadline=None)
+@given(st.lists(st.lists(st.one_of(finite, wide, subnormal, signed_zero),
+                         max_size=12), max_size=40))
+def test_fsum_segments_is_fsum_of_each_segment(segments):
+    # empty and one-element segments among the others, every exponent
+    # from the subnormals to 1e300, and zeros of either sign
+    _same_as_fsum_each(segments)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.one_of(subnormal, signed_zero), max_size=20),
+                max_size=20))
+def test_fsum_segments_of_subnormals(segments):
+    # a bucket scaled below 2^-1022 keeps its bits
+    _same_as_fsum_each(segments)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.one_of(huge, finite, any_finite, special),
+                         max_size=8), max_size=12))
+@example([[1.0], [1e308, 1e308]])
+@example([[1e308, -1e308, 1e308, 1e308], []])
+@example([[1e308], [1e308], [-1e308, -1e308, 1e308]])
+@example([[1.0, math.inf, -math.inf], [math.nan]])
+def test_fsum_segments_up_to_the_largest_floats(segments):
+    # near 1e308 math.fsum may overflow part way, inf and nan propagate,
+    # and inf - inf raises: then every segment goes to fsum_array, which
+    # is math.fsum there
+    _same_as_fsum_each(segments)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 3 * CHUNK), min_size=1, max_size=5),
+       st.integers(0, 2**32 - 1))
+@example([CHUNK - 3, 2 * CHUNK + 7, 1, 0, CHUNK], 0)
+def test_fsum_segments_longer_than_a_chunk(lengths, seed):
+    # segments that start in one chunk and end in another, magnitudes from
+    # 1e-20 to 1e20, each term of a segment's first half nearly cancelled
+    # in its second half
+    rng = np.random.default_rng(seed)
+    segments = []
+    for n in lengths:
+        arr = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, n)
+        half = n // 2
+        arr[n - half:] = -arr[:half] + rng.standard_normal(half)
+        segments.append(arr.tolist())
+    _same_as_fsum_each(segments)
+
+
+def test_fsum_segments_of_many_rows_over_every_exponent():
+    # a thousand short segments from the subnormals to 1e300 need more
+    # buckets than one chunk may hold; then every segment goes to fsum_array
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(0, 4, 1000)
+    n = int(lengths.sum())
+    arr = rng.standard_normal(n) * 2.0 ** rng.integers(-1074, 997, n)
+    got = fsum_segments(arr, lengths)
+    bounds = np.cumsum(lengths)
+    want = [math.fsum(seg.tolist()) for seg in np.split(arr, bounds[:-1])]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("lengths", [[], [0, 0], [2], [1, 3], [4, -1]])
+def test_fsum_segments_lengths_must_cover_the_array(lengths):
+    with pytest.raises(ValueError):
+        fsum_segments(np.ones(3), lengths)

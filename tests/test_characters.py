@@ -8,6 +8,7 @@ import pytest
 from ekconst import (build_group, conductor_grid, ekgamma,
                      enumerate_characters, primitive_characters,
                      principal_character, totient)
+from ekconst.characters import primitive_mask
 
 
 def _exponent_conductor(group, exponents):
@@ -185,6 +186,17 @@ def test_conductor_grid_built_once_per_group():
     assert conductor_grid(group) is grid
 
 
+def test_primitive_mask_is_the_grid_at_q():
+    # the mask compares each factor with its prime power, without the
+    # grid: every q <= 5000 (q = 2 mod 4 has no primitive character), the
+    # {-1, 5} pair alone at 65536, mixed moduli at 60060, a large prime
+    for q in list(range(1, 5001)) + [65536, 60060, 1000003]:
+        group = build_group(q)
+        mask = primitive_mask(group)
+        assert mask.dtype == bool, q
+        assert np.array_equal(mask, conductor_grid(group) == q), q
+
+
 def test_primitive_characters_order_matches_filtered_enumeration():
     # primitive_characters keeps the order of enumerate_characters
     for q in range(1, 201):
@@ -233,7 +245,7 @@ def test_group_tables_match_loop_construction():
 
 
 def test_scan_builds_no_character_tables(monkeypatch):
-    # the conductor totals read the unit grid and the conductor grid only;
+    # the conductor totals read the unit grid and the primitive mask only;
     # the exponent vectors and the root table wait for a value table
     built = []
 

@@ -104,7 +104,9 @@ def test_no_primitive_layer_conductor_2_mod_4():
 def _per_table_total(q, n_terms):
     """One conductor's total from its own full table of gamma_0 and gamma_1
     at a/q for a = 1..q, indexed at the units: the route conductor_totals
-    replaced, kept as its oracle."""
+    replaced, kept as its oracle. Its epilogue is the per-conductor one the
+    batch replaced in turn: two inverse FFTs, the characters where
+    conductor_grid equals q, and one exact sum per part."""
     tag = precision_tag(n_terms)
     if q == 1:
         return ConductorTotal(q=1, total=0.0, imag_residual=0.0, tag=tag)
@@ -129,13 +131,42 @@ def _bits(rec):
     return (rec.q, rec.total.hex(), rec.imag_residual.hex(), rec.tag)
 
 
+def test_small_l_value_raises_at_its_conductor(monkeypatch):
+    # the first conductor of the batch whose smallest |L(1, chi)| is at or
+    # below MIN_ABS_L raises; the conductors after it are not summed
+    def min_l(q):
+        group = build_group(q)
+        g0, _, _ = stieltjes_pair_table(q, DEFAULT_EM_TERMS)
+        sums = np.fft.ifftn(g0[group.unit_grid - 1]) * group.phi
+        return float(np.min(np.abs(sums[conductor_grid(group) == q]))) / q
+
+    lows = {q: min_l(q) for q in (5, 7, 9)}
+    low, high = sorted(lows.values())[:2]
+    q = min(lows, key=lows.get)
+    monkeypatch.setattr(ekgamma, "MIN_ABS_L", (low + high) / 2)
+    with pytest.raises(ArithmeticError,
+                       match=rf"as small as {low:.3e} at conductor {q}; "
+                             "log-derivatives would be unreliable"):
+        conductor_totals([5, 7, 9])
+    monkeypatch.setattr(ekgamma, "MIN_ABS_L", low)
+    with pytest.raises(ArithmeticError, match=f"at conductor {q};"):
+        conductor_totals([5, 7, 9])
+    monkeypatch.setattr(ekgamma, "MIN_ABS_L", math.nextafter(low, 0.0))
+    assert len(conductor_totals([5, 7, 9])) == 3
+
+
 @pytest.mark.parametrize("n_terms", [DEFAULT_EM_TERMS, 50])
 def test_conductor_totals_bit_identical_to_per_conductor_tables(n_terms):
     # includes q = 1 and every q = 2 mod 4, which get the zero total; at 50
-    # it pins that --em-terms 50 still reproduces the em50 rows
-    got = conductor_totals(range(1, 1501), n_terms)
+    # it pins that --em-terms 50 still reproduces the em50 rows. The batch's
+    # one FFT call per conductor, its primitive mask and its one segmented
+    # exact sum keep every bit: 30011 is a prime whose 60,018 values pass
+    # one chunk of the sum, 60060 has four odd components and a 2-part of
+    # 4, and 65536 the {-1, 5} pair alone
+    qs = list(range(1, 1501)) + [30011, 60060, 65536]
+    got = conductor_totals(qs, n_terms)
     assert [_bits(r) for r in got] == [_bits(_per_table_total(q, n_terms))
-                                       for q in range(1, 1501)]
+                                       for q in qs]
 
 
 def test_conductor_totals_honours_em_terms():

@@ -1,7 +1,8 @@
 """Structure of the library: one process pool, one route to conductor
-totals, one exact sum of a float array, one probe route from the CLI, one
-pass of decomp over the prime powers, precision known only where the
-conductor cache is built, one search of the prime tables.
+totals, one exact sum of a float array and one kernel under every exact
+sum of an array, one probe route from the CLI, one pass of decomp over the
+prime powers, precision known only where the conductor cache is built, one
+search of the prime tables.
 
 Every check reads the source of src/ekconst with ast. A name counts where it
 is loaded, that is called or passed as a value; imports, the strings of
@@ -65,6 +66,22 @@ def test_only_fsum_array_sums_a_tolist():
              and any(isinstance(arg, ast.Call)
                      and _name(arg.func) == "tolist" for arg in node.args)}
     assert sites == {("accum", "fsum_array")}
+
+
+def test_one_exact_sum_kernel():
+    # np.frexp and np.bincount run only in accum's kernel, and the one
+    # array sum (fixed_sum, which fsum_array rounds) and the segmented sum
+    # of the conductor totals both call it
+    kernel = {(module, scope) for module, scope, node in _scoped_nodes()
+              if isinstance(node, ast.Call)
+              and _name(node.func) in {"frexp", "bincount"}}
+    assert kernel == {("accum", "_chunk_sums")}
+    callers = {(module, scope) for module, scope, node in _scoped_nodes()
+               if _name(node) == "_chunk_sums"}
+    assert callers == {("accum", "fixed_sum"), ("accum", "fsum_segments")}
+    array_sums = {(module, scope) for module, scope, node in _scoped_nodes()
+                  if _name(node) == "fixed_sum" and module == "accum"}
+    assert array_sums == {("accum", "fsum_array")}
 
 
 def test_cli_probes_through_the_public_functions():
