@@ -9,9 +9,10 @@ worst prime-counting error over the coprime residue classes mod m.
 The self-check residue_sum_checks compares the probe's class sums with an
 exact sum of Lambda over the prime powers they leave out of psi(x). Each
 of the two reads psi(x) and its weights (_weights_upto, slices of the
-prime-power table from sieve._prefix) from the tables itself, and each
-pass reads those slices in place, one block at a time: neither allocates
-an array of the length of its base.
+prime-power table from sieve._prefix) from the tables itself, and the
+passes read those slices in place, one block at a time, each block once
+for a sweep of several passes: neither allocates an array of the length
+of its base.
 
 Emission is deliberately dumb: fixed headers, fixed significant digits,
 LF line endings, records in ascending order, so identical inputs produce
@@ -50,11 +51,20 @@ CHECK_FOLDS = 5
 
 #: Elements per block of a residue pass: 256 KiB of uint32 quotients and
 #: 512 KiB of intp residues, which stay in the L2 cache from the division
-#: to the np.add.at that reads them. On a 2-core x86-64 Xeon (2 MiB of L2
-#: per core) a pass at top 3001 over the prime powers below 1e7 took a
-#: median 2.02 ms, against 2.02 ms in blocks of 2^14, 2.30 ms in blocks
-#: of 2^18 and 2.22 ms in blocks of 2^20 (7 runs of 390 passes).
+#: to the np.add.at that reads them, next to the block of the base and its
+#: weights that a sweep reads once for all of its tops. On a 2-core x86-64
+#: Xeon (2 MiB of L2 per core), sweeps over the primes below 1e7 at 198 of
+#: the tops of probe 1e7 at epsilon 0.5 took a median 1.66 ms a pass,
+#: against 1.64 ms in blocks of 2^14, 1.66 ms in blocks of 2^15, 1.87 ms
+#: in blocks of 2^17 and 1.92 ms in blocks of 2^18 (7 runs each).
 _RESIDUE_BLOCK = 1 << 16
+
+#: Bytes of the bucket arrays that one sweep fills at once (_sweeps):
+#: 256 KiB, 10 to 20 tops of probe 1e7 at epsilon 0.5. In the runs above
+#: a pass took 1.82 ms with one chain per sweep, 1.77 ms with sweeps of
+#: 64 KiB, 1.73 ms with 128 KiB, 1.68 ms with 512 KiB and 1.63 ms with
+#: 1 MiB; the larger sweeps gain little for the memory each process adds.
+_SWEEP_BUCKET_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -256,41 +266,65 @@ def _residue_buffers(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.empty(_RESIDUE_BLOCK, dtype=np.intp))
 
 
+def _sweeps(chains) -> list[list]:
+    """The chains in their order, split into sweeps whose bucket arrays,
+    top + 1 float64 each, total at most _SWEEP_BUCKET_BYTES; a chain whose
+    buckets alone exceed that makes a sweep of its own."""
+    out, size = [], 0
+    for chain in chains:
+        need = 8 * (chain[0] + 1)
+        if out and size + need <= _SWEEP_BUCKET_BYTES:
+            out[-1].append(chain)
+            size += need
+        else:
+            out.append([chain])
+            size = need
+    return out
+
+
 def _chain_class_sums(arr: np.ndarray, w: np.ndarray, skip: np.ndarray,
-                      chain, quot: np.ndarray, res: np.ndarray
+                      chains, quot: np.ndarray, res: np.ndarray
                       ) -> list[tuple[int, np.ndarray]]:
     """(m, weight sums of the residue classes a mod m with gcd(a, m) = 1,
-    ascending in a) for each level m of a chain from _chains, over the
-    elements of arr but those at the positions skip (_weights_upto).
+    ascending in a) for each level m of a sweep of chains from _chains
+    (_sweeps), over the elements of arr but those at the positions skip
+    (_weights_upto).
 
-    One residue pass buckets the weights mod chain[0], the top, in blocks
-    of quot's length (the buffers from _residue_buffers). A block's
-    residues are arr - (arr // top) * top (sieve.residues), written to
-    res; its skipped elements go to a spare bucket, top, and one
-    np.add.at adds the block's weights into the top + 1 buckets, each in
-    element order as bincount adds them, so the sums keep their bits. The
-    spare bucket is then dropped. Each lower level halves the buckets of
-    the level above, b[:m] + b[m:], since the classes r and r + m mod 2m
-    make up the class r mod m; a folded level adds the same weights in
-    another order. coprime_mask(m) picks the coprime classes by striking
-    out the multiples of each prime factor of m.
+    One sweep reads arr, w and skip once, in blocks of quot's length (the
+    buffers from _residue_buffers), and buckets the weights mod the top of
+    every chain, chain[0]. For each top a block's residues are
+    arr - (arr // top) * top (sieve.residues), written to res; the block's
+    skipped elements go to a spare bucket, top, and one np.add.at adds the
+    block's weights into that top's top + 1 buckets, each in element order
+    as bincount adds them, from the same zero however the chains are
+    grouped, so the sums keep their bits. The spare bucket is then
+    dropped. Each lower level of a chain halves the buckets of the level
+    above, b[:m] + b[m:], since the classes r and r + m mod 2m make up the
+    class r mod m; a folded level adds the same weights in another order.
+    coprime_mask(m) picks the coprime classes by striking out the
+    multiples of each prime factor of m.
     """
-    top = chain[0]
+    tops = [chain[0] for chain in chains]
+    sweep = [np.zeros(top + 1) for top in tops]
     step = quot.size
-    buckets = np.zeros(top + 1)
     for start in range(0, arr.size, step):
         block = arr[start:start + step]
-        part = residues(block, top, quot[:block.size], res[:block.size])
+        weights = w[start:start + step]
+        q, r = quot[:block.size], res[:block.size]
         lo, hi = _search(skip, (start, start + block.size))
-        part[skip[lo:hi] - start] = top
-        np.add.at(buckets, part, w[start:start + step])
-    buckets = buckets[:top]
+        spare = skip[lo:hi] - start
+        for top, buckets in zip(tops, sweep):
+            part = residues(block, top, q, r)
+            part[spare] = top
+            np.add.at(buckets, part, weights)
     out = []
-    for m in chain:
-        while buckets.size > m:
-            half = buckets.size // 2
-            buckets = buckets[:half] + buckets[half:]
-        out.append((m, buckets[coprime_mask(m)]))
+    for chain, buckets in zip(chains, sweep):
+        buckets = buckets[:chain[0]]
+        for m in chain:
+            while buckets.size > m:
+                half = buckets.size // 2
+                buckets = buckets[:half] + buckets[half:]
+            out.append((m, buckets[coprime_mask(m)]))
     return out
 
 
@@ -299,8 +333,8 @@ def _level_errors(arr, w, skip, psi_x: float,
     """(m, max over coprime a of |E(x; m, a)|) for each level of chains."""
     out = []
     quot, res = _residue_buffers(arr)
-    for chain in chains:
-        for m, sums in _chain_class_sums(arr, w, skip, chain, quot, res):
+    for sweep in _sweeps(chains):
+        for m, sums in _chain_class_sums(arr, w, skip, sweep, quot, res):
             out.append((m, float(np.abs(sums - psi_x / sums.size).max())))
     return out
 
@@ -322,11 +356,16 @@ def eh_probe(x: float, epsilon: float, tables: ArithmeticTables,
     passes in all. The levels above m_max/2 get the sums of a pass, each
     bucket added in element order as bincount adds it; a folded level can
     differ from a pass of its own in the last bits. A pass takes its
-    residues by division by the invariant top (sieve.residues), about
-    2.0 ms over the 664,579 primes below 1e7, of which np.add.at takes
-    1.1 ms (bincount of a full-length residue array took 1.6 ms). Its two
-    buffers, of one _RESIDUE_BLOCK each, are allocated once per serial run
-    or pool chunk, so a call allocates no array of length pi(x).
+    residues by division by the invariant top (sieve.residues). The passes
+    run in sweeps (_sweeps) of the chains of a serial run or pool chunk,
+    whose buckets total at most _SWEEP_BUCKET_BYTES, 10 to 20 tops at
+    x = 1e7 and epsilon 0.5: a sweep reads each block of the base, the
+    weights and the skipped positions once for all of its tops. A pass
+    then takes about 1.7 ms over the 664,579 primes below 1e7, of which
+    np.add.at takes 1.0 ms, against 2.0 ms while each pass read the base
+    on its own (bincount of a full-length residue array took 1.6 ms). Its
+    two buffers, of one _RESIDUE_BLOCK each, are allocated once per serial
+    run or pool chunk, so a call allocates no array of length pi(x).
 
     psi(x) and the residue base, weights and skipped positions
     (_weights_upto: views of the tables and, on the primes base, the
@@ -388,9 +427,10 @@ def residue_sum_checks(levels, x: float, tables: ArithmeticTables,
     quot, res = _residue_buffers(arr)
     wanted = set(levels)
     limit = arr.size - skip.size    # the number of weights
+    chains = _chains(wanted, partial(_check_top, limit=limit))
     lhs = {m: fsum_array(sums - psi_x / sums.size)
-           for chain in _chains(wanted, partial(_check_top, limit=limit))
-           for m, sums in _chain_class_sums(arr, w, skip, chain, quot, res)
+           for sweep in _sweeps(chains)
+           for m, sums in _chain_class_sums(arr, w, skip, sweep, quot, res)
            if m in wanted}
     higher = _higher_upto(math.floor(x))
     out = []

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -176,6 +177,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@cache
+def _dtype_max(dtype: np.dtype) -> int:
+    """The largest value of an integer dtype, read once per dtype: building
+    np.iinfo takes about 1.7 us, and residues runs once per block and top
+    of a residue pass (17,391 times in a serial probe 1e7 at epsilon 0.5)."""
+    return int(np.iinfo(dtype).max)
+
+
 def residues(values: np.ndarray, m: int, quot: np.ndarray | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
     """values mod m for an array of nonnegative integers, computed as
@@ -186,23 +195,28 @@ def residues(values: np.ndarray, m: int, quot: np.ndarray | None = None,
     element: on 664,579 primes below 1e7 the quotient takes 0.25 ms against
     1.5 ms for `%` on uint32, and 0.62 ms against 2.6 ms on int64. quot
     (the dtype of values) and out (any integer dtype that holds m - 1) are
-    buffers to reuse across calls; the residues are written to out, or over
-    the quotients, so that without buffers the call allocates one array,
-    as `%` does.
+    buffers to reuse across calls. The subtraction stays in the dtype of
+    values, over the quotients, and one copy casts the residues into out
+    when it is given: on a uint32 block that takes 0.21 + 0.29 ns an
+    element against 0.68 ns for a subtraction that casts into an intp out.
+    Without buffers the call allocates one array, as `%` does.
 
     An m above the largest value of the dtype exceeds every value, which is
     then its own residue: the values themselves are returned, or copied to
     out. Such an m does not fit the dtype, and numpy would refuse it.
     """
-    if m > np.iinfo(values.dtype).max:
+    if m > _dtype_max(values.dtype):
         if out is None:
             return values
         np.copyto(out, values, casting="unsafe")
         return out
     quot = np.floor_divide(values, m, out=quot)
     np.multiply(quot, m, out=quot)
-    return np.subtract(values, quot, out=quot if out is None else out,
-                       casting="unsafe")
+    np.subtract(values, quot, out=quot)
+    if out is None:
+        return quot
+    np.copyto(out, quot, casting="unsafe")
+    return out
 
 
 def coprime_mask(m: int) -> np.ndarray:

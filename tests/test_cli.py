@@ -477,8 +477,9 @@ def test_probe_failed_out_prints_nothing(tmp_path, capsys):
 def test_probe_selfcheck_failure_detected(monkeypatch, capsys):
     real = experiments._chain_class_sums
 
-    def corrupted(*args):
-        out = real(*args)
+    def corrupted(arr, w, skip, chains, quot, res):
+        # one sweep returns the levels of all of its chains
+        out = real(arr, w, skip, chains, quot, res)
         for m, sums in out:
             if m == 7:
                 sums[2] += 1e-3      # one bucket of one level <= 50

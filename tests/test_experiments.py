@@ -553,9 +553,9 @@ def test_folded_levels_match_one_pass_oracle(tables_big, x, prime_powers):
     errors = dict(probe.per_m)
     chains = experiments._chains(range(1, m_max + 1),
                                  partial(experiments._probe_top, m_max))
-    for chain in chains:
+    for sweep in experiments._sweeps(chains):
         for m, sums in experiments._chain_class_sums(
-                arr, w, skip, chain, *experiments._residue_buffers(arr)):
+                arr, w, skip, sweep, *experiments._residue_buffers(arr)):
             want = _coprime_class_sums(*kept, m)
             want_error = float(np.abs(want - psi_x / want.size).max())
             if 2 * m > m_max:      # a pass of its own: bit for bit
@@ -644,11 +644,11 @@ def test_check_passes_have_at_most_max_m_weights_buckets(
     tops = []
     real = experiments._chain_class_sums
 
-    def spy(arr, w, skip, chain, *buffers):
+    def spy(arr, w, skip, chains, *buffers):
         # n is the number of weights: the skipped positions are not ones
-        tops.append((chain[0], max(set(chain) & set(levels)),
-                     arr.size - skip.size))
-        return real(arr, w, skip, chain, *buffers)
+        tops.extend((chain[0], max(set(chain) & set(levels)),
+                     arr.size - skip.size) for chain in chains)
+        return real(arr, w, skip, chains, *buffers)
 
     monkeypatch.setattr(experiments, "_chain_class_sums", spy)
     checks = residue_sum_checks(levels, 1e4, tables_small, prime_powers)
@@ -677,11 +677,63 @@ def test_residue_blocks_keep_the_bits(tables_small, monkeypatch, x,
 
 
 @pytest.mark.parametrize("prime_powers", [False, True])
+@pytest.mark.parametrize("x", [1e4, 1e5])
+def test_sweeps_keep_the_bits(tables_small, monkeypatch, x, prime_powers):
+    # against one pass per chain in whole blocks: sweeps of a few chains
+    # (4 KiB), the default (every chain at these x) and every chain
+    # (1 GiB), also with block edges among the skipped higher powers; each
+    # bucket still adds its weights in element order from the same zero
+    blocks = (experiments._RESIDUE_BLOCK, 64, 1000)
+    limits = (0, 2**12, experiments._SWEEP_BUCKET_BYTES, 2**30)
+    monkeypatch.setattr(experiments, "_SWEEP_BUCKET_BYTES", 0)
+    want = _probe_and_check_bits(x, tables_small, prime_powers)
+    for block in blocks:
+        for limit in limits:
+            monkeypatch.setattr(experiments, "_RESIDUE_BLOCK", block)
+            monkeypatch.setattr(experiments, "_SWEEP_BUCKET_BYTES", limit)
+            got = _probe_and_check_bits(x, tables_small, prime_powers)
+            assert got == want, (block, limit)
+
+
+@pytest.mark.parametrize("limit", [0, 2**12, None, 2**30])
+def test_sweeps_split_the_chains_in_order(monkeypatch, limit):
+    if limit is None:
+        limit = experiments._SWEEP_BUCKET_BYTES
+    monkeypatch.setattr(experiments, "_SWEEP_BUCKET_BYTES", limit)
+    # the probe's chains at x = 1e7, epsilon 0.5, then check chains whose
+    # tops (up to 664,579 buckets) exceed the default by far
+    chains = experiments._chains(range(1, 3163),
+                                 partial(experiments._probe_top, 3162))
+    chains += experiments._chains([1, 97, 5001, 50_000, 600_001],
+                                  partial(experiments._check_top,
+                                          limit=664_579))
+    sweeps = experiments._sweeps(chains)
+    assert [chain for sweep in sweeps for chain in sweep] == chains
+    size = [sum(8 * (chain[0] + 1) for chain in sweep) for sweep in sweeps]
+    assert all(n <= limit for n, sweep in zip(size, sweeps)
+               if len(sweep) > 1)
+    # a sweep starts only where its first chain would overflow the last
+    assert all(n + 8 * (sweep[0][0] + 1) > limit
+               for n, sweep in zip(size, sweeps[1:]))
+
+
+def test_probe_sweeps_hold_about_ten_tops():
+    chains = experiments._chains(range(1, 3163),
+                                 partial(experiments._probe_top, 3162))
+    sweeps = experiments._sweeps(chains)     # probe 1e7, epsilon 0.5
+    assert len(sweeps) == 119
+    assert min(map(len, sweeps)) == 10 and max(map(len, sweeps)) == 20
+
+
+@pytest.mark.parametrize("prime_powers", [False, True])
 def test_probe_and_check_allocate_no_full_length_array(tables_big,
                                                        prime_powers):
     # the passes read views of the tables in blocks: at x = 1e7 a masked
-    # copy of the weights or a full-length residue buffer is 5.3 MB
+    # copy of the weights or a full-length residue buffer is 5.3 MB; at
+    # x = 1e6 and epsilon 0.5 a sweep holds up to 256 KiB of buckets
     for run in (lambda: eh_probe(1e7, 0.9, tables_big, prime_powers,
+                                 workers=1),
+                lambda: eh_probe(1e6, 0.5, tables_big, prime_powers,
                                  workers=1),
                 lambda: residue_sum_checks(range(1, 51), 1e7, tables_big,
                                            prime_powers)):

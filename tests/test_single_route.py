@@ -1,8 +1,8 @@
 """Structure of the library: one process pool, one route to conductor
 totals, one exact sum of a float array and one kernel under every exact
-sum of an array, one probe route from the CLI, one pass of decomp over the
-prime powers, precision known only where the conductor cache is built, one
-search of the prime tables.
+sum of an array, one scatter-add and one array division, one probe route
+from the CLI, one pass of decomp over the prime powers, precision known
+only where the conductor cache is built, one search of the prime tables.
 
 Every check reads the source of src/ekconst with ast. A name counts where it
 is loaded, that is called or passed as a value; imports, the strings of
@@ -82,6 +82,19 @@ def test_one_exact_sum_kernel():
     array_sums = {(module, scope) for module, scope, node in _scoped_nodes()
                   if _name(node) == "fixed_sum" and module == "accum"}
     assert array_sums == {("accum", "fsum_array")}
+
+
+def test_one_scatter_route_and_one_residue_route():
+    # the probe's sweeps are the library's one scatter-add, so no
+    # per-chain pass runs beside them, and sieve.residues its one array
+    # division
+    scatter = {(module, scope) for module, scope, node in _scoped_nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "at"
+               and _name(node.value) == "add"}
+    assert scatter == {("experiments", "_chain_class_sums")}
+    divide = {(module, scope) for module, scope, node in _scoped_nodes()
+              if _name(node) == "floor_divide"}
+    assert divide == {("sieve", "residues")}
 
 
 def test_cli_probes_through_the_public_functions():
