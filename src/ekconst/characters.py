@@ -8,12 +8,10 @@ generators; values are exact roots of unity exp(2*pi*i*t/L) with the integer
 t computed in exact arithmetic and converted to complex only at the last
 step. _conductor_factors is the one conductor rule: one factor per
 component (one for the 2-part's pair), whose outer product is
-conductor_grid, the conductors of all characters of a group at once, built
-once per group and read by DirichletCharacter.conductor. primitive_mask
-compares each factor with its prime power instead, so primitive_characters
-and the conductor totals pick the primitive characters without the int64
-grid. A character's single values, parity included, come from its value
-table.
+conductor_grid, the conductors of all characters of a group at once.
+primitive_mask compares each factor with its prime power instead, so
+primitive_characters and the conductor totals pick the primitive characters
+without the int64 grid. A character's values come from its value table.
 """
 from __future__ import annotations
 
@@ -58,8 +56,6 @@ class CharacterGroup:
             grid = grid.reshape(-1)
         self.unit_grid = grid.reshape(self.orders or (1,))
 
-        self.conductors: np.ndarray | None = None   # set by conductor_grid
-
     @cached_property
     def exp_vectors(self) -> np.ndarray:
         """The exponent tuple of every unit_grid entry, one row each in row
@@ -88,11 +84,6 @@ class DirichletCharacter:
         self.group = group
         self.modulus = group.modulus
         self.exponents = tuple(int(k) for k in exponents)
-        self.order = reduce(
-            math.lcm,
-            (d // math.gcd(d, k) for k, d in zip(self.exponents, group.orders)),
-            1,
-        )
         # integer weights: chi(unit_grid[e]) = root_table[sum w_i e_i mod L]
         L = group.exponent
         self._weights = np.array(
@@ -104,23 +95,6 @@ class DirichletCharacter:
     @property
     def is_principal(self) -> bool:
         return all(k == 0 for k in self.exponents)
-
-    @property
-    def conductor(self) -> int:
-        grid = conductor_grid(self.group)
-        return int(grid[self.exponents] if self.exponents else grid[0])
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor == self.modulus
-
-    @property
-    def parity(self) -> int:
-        """chi(-1), which is exactly 1 or, up to rounding, -1."""
-        return 1 if self.evaluate(-1) == 1 else -1
-
-    def evaluate(self, n: int) -> complex:
-        return complex(self.value_table()[n % self.modulus])
 
     def value_table(self) -> np.ndarray:
         """chi(r) for r = 0..q-1 as one complex array (zeros off the units)."""
@@ -135,19 +109,6 @@ class DirichletCharacter:
             self._values = vals
         return self._values
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DirichletCharacter)
-            and self.modulus == other.modulus
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.exponents))
-
-    def __repr__(self) -> str:
-        return f"DirichletCharacter(mod {self.modulus}, exponents {self.exponents})"
-
 
 def build_group(modulus: int) -> CharacterGroup:
     return CharacterGroup(modulus)
@@ -159,10 +120,6 @@ def enumerate_characters(group: CharacterGroup) -> list[DirichletCharacter]:
         DirichletCharacter(group, tuple(int(v) for v in ks))
         for ks in np.ndindex(*group.orders)
     ]
-
-
-def principal_character(group: CharacterGroup) -> DirichletCharacter:
-    return DirichletCharacter(group, tuple(0 for _ in group.orders))
 
 
 def primitive_characters(group: CharacterGroup) -> list[DirichletCharacter]:
@@ -246,18 +203,12 @@ def conductor_grid(group: CharacterGroup) -> np.ndarray:
     """Conductors of all characters at once, shaped like the exponent grid.
 
     Entry [k1, ..., kr] is the conductor of the character with that exponent
-    tuple: the outer product of the factors of _conductor_factors. It is
-    built once per group and kept read-only on it.
+    tuple: the outer product of the factors of _conductor_factors.
     """
-    if group.conductors is not None:
-        return group.conductors
     cond = np.ones((), dtype=np.int64)
     for factor, _ in _conductor_factors(group):
         cond = np.multiply.outer(cond, factor)
-    cond = cond.reshape(group.orders or (1,))
-    cond.flags.writeable = False
-    group.conductors = cond
-    return cond
+    return cond.reshape(group.orders or (1,))
 
 
 def primitive_mask(group: CharacterGroup) -> np.ndarray:

@@ -206,8 +206,8 @@ def cmd_cache(args) -> int:
         return EXIT_OK
     cache = ConductorCache(path)
     print(f"# cache={path} entries={len(cache)}")
-    for rec in cache.records():
-        print(_cache_row(rec.q, rec.total, rec.imag_residual, rec.tag))
+    for (q, tag), (total, imag) in cache.records():
+        print(_cache_row(q, total, imag, tag))
     return EXIT_OK
 
 

@@ -33,10 +33,9 @@ workers > 1 they go through _map_chunks, the library's one process pool.
 fill hands them over in decreasing order of their modelled cost, so the
 pool's round-robin chunks cost about the same and no process idles while
 another finishes. The probe maps its chains of levels, which cost the same
-each, through the same pool. The cache holds each row as a (total,
-imag_residual) float pair under its (q, tag) key, so a load and a warm
-fill build no object per row; get and records build their ConductorTotal
-rows when they are called.
+each, through the same pool. A conductor's row is the float pair (total,
+imag_residual): conductor_totals returns it with its q, and the cache holds
+it under its (q, tag) key, so no row builds an object.
 
 For non-principal chi mod q the Hurwitz expansion gives, with the pole
 cancelling against sum_a chi(a) = 0,
@@ -88,16 +87,6 @@ _CACHE_HEADER = "q,total,imag_residual,tag"
 def precision_tag(n_terms: int) -> str:
     _check_em_terms(n_terms)
     return f"em{n_terms}"
-
-
-@dataclass(frozen=True)
-class ConductorTotal:
-    """Sum of Re L'/L(1, chi) over primitive chi mod q, plus diagnostics."""
-
-    q: int
-    total: float
-    imag_residual: float
-    tag: str
 
 
 @dataclass(frozen=True)
@@ -178,8 +167,12 @@ def _map_chunks(fn, items: list, workers: int | None, *shared) -> list:
 
 
 def conductor_totals(qs, n_terms: int = DEFAULT_EM_TERMS
-                     ) -> list[ConductorTotal]:
-    """Primitive-character L'/L totals of the conductors qs, in their order.
+                     ) -> list[tuple[int, float, float]]:
+    """Primitive-character L'/L totals of the conductors qs, in their order:
+    one (q, total, imag_residual) row each, total the sum of Re L'/L(1, chi)
+    over the primitive chi mod q and imag_residual the absolute sum of the
+    imaginary parts. The row carries its q because _map_chunks returns the
+    rows of its chunks in chunk order, not in the order of qs.
 
     Conductors 1 and 2 mod 4 carry no primitive characters and get a zero
     total without a group. The unit arguments a/q (a coprime to q) of the
@@ -195,30 +188,29 @@ def conductor_totals(qs, n_terms: int = DEFAULT_EM_TERMS
     for q in qs:
         if q < 1:
             raise ValueError(f"conductor must be >= 1, got {q}")
-    tag = precision_tag(n_terms)
-    out: list[ConductorTotal | None] = [None] * len(qs)
+    _check_em_terms(n_terms)
+    out: list[tuple[int, float, float] | None] = [None] * len(qs)
     batch: list[tuple[int, CharacterGroup]] = []
     points = 0
     for i, q in enumerate(qs):
         if q == 1 or q % 4 == 2:
-            out[i] = ConductorTotal(q=q, total=0.0, imag_residual=0.0,
-                                    tag=tag)
+            out[i] = (q, 0.0, 0.0)
             continue
         group = build_group(q)
         if batch and points + group.phi > EM_BLOCK_POINTS:
-            _batch_totals(batch, n_terms, tag, out)
+            _batch_totals(batch, n_terms, out)
             batch, points = [], 0
         batch.append((i, group))
         points += group.phi
     if batch:
-        _batch_totals(batch, n_terms, tag, out)
+        _batch_totals(batch, n_terms, out)
     return out
 
 
-def _batch_totals(batch, n_terms: int, tag: str, out: list) -> None:
-    """Totals of the (index, group) pairs of one batch, tagged tag, stored
-    at out[index]: the log-derivatives of every conductor, then one
-    segmented exact sum over their real and imaginary parts."""
+def _batch_totals(batch, n_terms: int, out: list) -> None:
+    """Rows of the (index, group) pairs of one batch, stored at out[index]:
+    the log-derivatives of every conductor, then one segmented exact sum
+    over their real and imaginary parts."""
     x = np.concatenate([g.unit_grid.reshape(-1) / g.modulus
                         for _, g in batch])
     # row 0 gamma_0, row 1 gamma_1, at the batch's unit arguments
@@ -243,8 +235,7 @@ def _batch_totals(batch, n_terms: int, tag: str, out: list) -> None:
                                         + [v.imag for v in logderivs]),
                          sizes + sizes)
     for (i, group), total, imag in zip(batch, sums, sums[len(batch):]):
-        out[i] = ConductorTotal(q=group.modulus, total=total,
-                                imag_residual=abs(imag), tag=tag)
+        out[i] = (group.modulus, total, abs(imag))
 
 
 def l_at_one(chi: DirichletCharacter) -> complex:
@@ -299,9 +290,9 @@ class ConductorCache:
     Rows of other tags are loaded, merged and saved with the rest.
 
     Each row is held as the float pair (total, imag_residual) under its
-    key, so loading a file and a warm fill build no object per row; get and
-    records return ConductorTotal rows built from the pairs, and fill
-    returns the totals alone. A missing file reads as an empty cache, also
+    key, so loading a file and a warm fill build no object per row; get
+    returns a pair, records the sorted (key, pair) items, and fill the
+    totals alone. A missing file reads as an empty cache, also
     one that another process's clear removes just before the open. Building
     a cache on a path parses the whole file, so a load that raises no
     CacheCorruption has verified it.
@@ -412,18 +403,20 @@ class ConductorCache:
             out[key] = (total, imag)
         return out
 
-    def get(self, q: int) -> ConductorTotal | None:
-        pair = self._data.get((q, self.tag))
-        return None if pair is None else ConductorTotal(q, *pair, self.tag)
+    def get(self, q: int) -> tuple[float, float] | None:
+        """The (total, imag_residual) row of conductor q under the cache's
+        tag, or None."""
+        return self._data.get((q, self.tag))
 
-    def records(self) -> list[ConductorTotal]:
-        """All cached totals, sorted by (conductor, tag)."""
-        return _totals(sorted(self._data.items()))
+    def records(self) -> list[tuple[tuple[int, str], tuple[float, float]]]:
+        """All cached rows as ((q, tag), (total, imag_residual)), sorted."""
+        return sorted(self._data.items())
 
-    def put(self, rec: ConductorTotal) -> None:
+    def put(self, q: int, total: float, imag_residual: float) -> None:
+        """Store a row of conductor q under the cache's tag."""
         with self._lock:
-            key = (rec.q, rec.tag)
-            pair = (rec.total, rec.imag_residual)
+            key = (q, self.tag)
+            pair = (total, imag_residual)
             if self._data.get(key) != pair:
                 self._data[key] = pair
                 self._dirty = True
@@ -442,10 +435,11 @@ class ConductorCache:
         if not missing:
             return [pair[0] for pair in found]
         fresh = {}
-        for rec in _map_chunks(partial(conductor_totals, n_terms=self.n_terms),
-                               missing, workers):
-            self.put(rec)
-            fresh[rec.q] = rec.total
+        for q, total, imag in _map_chunks(
+                partial(conductor_totals, n_terms=self.n_terms), missing,
+                workers):
+            self.put(q, total, imag)
+            fresh[q] = total
         return [fresh[q] if pair is None else pair[0]
                 for q, pair in zip(qs, found)]
 
@@ -459,7 +453,7 @@ class ConductorCache:
             with self._file_lock():
                 self._merge_file()
                 rows = [_CACHE_HEADER]
-                for (q, tag), (total, imag) in sorted(self._data.items()):
+                for (q, tag), (total, imag) in self.records():
                     rows.append(_cache_row(q, total, imag, tag))
                 payload = "\n".join(rows) + "\n"
                 # a unique temp file per save; mkstemp makes it 0600, a
@@ -558,12 +552,6 @@ def _bits(pair: tuple[float, float]) -> tuple[str, str]:
 def _cache_row(q: int, total: float, imag: float, tag: str) -> str:
     """The line of one row of the cache file, without its newline."""
     return f"{q},{total!r},{imag!r},{tag}"
-
-
-def _totals(rows) -> list[ConductorTotal]:
-    """The ConductorTotal of each ((q, tag), (total, imag_residual)) row."""
-    return [ConductorTotal(q, total, imag, tag)
-            for (q, tag), (total, imag) in rows]
 
 
 def gamma_q(q: int, cache: ConductorCache | None = None) -> GammaQ:

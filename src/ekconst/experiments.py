@@ -38,7 +38,6 @@ from .stieltjes import EULER_GAMMA
 SCAN_HEADER = "q,gamma_q,log_q,ratio,abs_dev"
 PROBE_HEADER = "x,epsilon,m_max,total"
 PER_M_HEADER = "m,max_abs_error"
-HISTOGRAM_HEADER = "bin_lo,bin_hi,count"
 FORMATS = ("csv", "json", "plotdata")
 
 #: Histogram support for gamma_q / log q; mass concentrates at 1.
@@ -503,22 +502,6 @@ def _render_per_m(probe: EhProbeRecord, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_histogram(bins, fmt: str) -> str:
-    if fmt == "csv":
-        lines = [HISTOGRAM_HEADER]
-        lines.extend(f"{_g(b.lo)},{_g(b.hi)},{b.count}" for b in bins)
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps([asdict(b) for b in bins], indent=2) + "\n"
-    regular = [b for b in bins if math.isfinite(b.lo) and math.isfinite(b.hi)]
-    under = sum(b.count for b in bins if not math.isfinite(b.lo))
-    over = sum(b.count for b in bins if not math.isfinite(b.hi))
-    lines = ["# ratio histogram", "# columns: bin_midpoint count",
-             f"# underflow: {under}", f"# overflow: {over}"]
-    lines.extend(f"{_g((b.lo + b.hi) / 2.0)} {b.count}" for b in regular)
-    return "\n".join(lines) + "\n"
-
-
 def render(payload, fmt: str) -> str:
     """Text form of any emittable payload in csv, json or plotdata."""
     if fmt not in FORMATS:
@@ -529,8 +512,6 @@ def render(payload, fmt: str) -> str:
         # every element is checked: an empty list is a scan
         if all(isinstance(r, ScanRecord) for r in payload):
             return _render_scan(payload, fmt)
-        if all(isinstance(b, RatioBin) for b in payload):
-            return _render_histogram(payload, fmt)
     raise TypeError(f"cannot emit payload of type {type(payload).__name__}")
 
 
@@ -558,22 +539,3 @@ def emit(payload, fmt: str, path, per_m_path=None) -> None:
     if per_m_path is not None:
         _write(per_m_path, _render_per_m(payload, fmt))
 
-
-def parse_scan_csv(path) -> list[ScanRecord]:
-    """Inverse of emit(records, "csv", path) up to float formatting width."""
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise OSError(f"reading {path}: {exc}") from exc
-    lines = [line for line in text.split("\n") if line != ""]
-    if not lines or lines[0] != SCAN_HEADER:
-        raise ValueError(f"{path}: missing scan header {SCAN_HEADER!r}")
-    out = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        out.append(ScanRecord(q=int(parts[0]), gamma_q=float(parts[1]),
-                              log_q=float(parts[2]), ratio=float(parts[3]),
-                              abs_dev=float(parts[4])))
-    return out

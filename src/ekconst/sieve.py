@@ -316,8 +316,8 @@ def psi_mod_stream(x: float, q: int, a: int) -> float:
     sums of the logs of the primes of each segment and of the higher prime
     powers are added as fixed-point integers and rounded once."""
     _check_class(q, a)
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 1, got {x}")
     xi = int(math.floor(x))
     base = _primes_upto(isqrt(xi))
     segments = _segment_primes(xi, base)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ekconst import (build_group, conductor_grid, ekgamma,
-                     enumerate_characters, primitive_characters,
-                     principal_character, totient)
+                     enumerate_characters, primitive_characters, totient)
 from ekconst.characters import primitive_mask
 
 
@@ -112,34 +111,35 @@ def test_complete_multiplicativity():
             table = chi.value_table()
             for m in range(1, 3 * q):
                 for n in range(1, 3 * q):
-                    lhs = chi.evaluate(m * n)
-                    rhs = chi.evaluate(m) * chi.evaluate(n)
+                    lhs = table[m * n % q]
+                    rhs = table[m % q] * table[n % q]
                     assert abs(lhs - rhs) < 1e-12
-            # period q
-            for n in range(2 * q):
-                assert chi.evaluate(n) == table[n % q]
 
 
 def test_principal_character_is_indicator_of_units():
     for q in (1, 2, 6, 10, 36):
-        chi0 = principal_character(build_group(q))
+        chi0 = enumerate_characters(build_group(q))[0]
         assert chi0.is_principal
+        table = chi0.value_table()
         for n in range(q):
             want = 1.0 if math.gcd(n, q) == 1 else 0.0
-            assert chi0.evaluate(n) == want
+            assert table[n] == want
 
 
 def test_conductor_via_factorization_oracle():
     # the conductor is the least d | q through which the table factors:
     # chi(n) = chi(m) whenever n = m mod d on units. q = 1 and 2 have the
     # empty exponent tuple; 32 and 48 carry the {-1, 5} pair of the 2-part.
-    # The grid, indexed by the exponent tuple, is checked at the same time.
+    # The grid, indexed by the exponent tuple, and the primitive mask are
+    # checked at the same time.
     for q in (1, 2, 8, 9, 12, 15, 16, 24, 32, 40, 48, 105):
         group = build_group(q)
         grid = conductor_grid(group)
+        mask = primitive_mask(group)
         chars = enumerate_characters(group)
         assert grid.size == len(chars)
         for chi in chars:
+            table = chi.value_table()
             units = [n for n in range(1, q + 1) if math.gcd(n, q) == 1]
             cond = None
             for d in sorted(set(d for d in range(1, q + 1) if q % d == 0)):
@@ -147,7 +147,7 @@ def test_conductor_via_factorization_oracle():
                 ok = True
                 for n in units:
                     key = n % d
-                    val = chi.evaluate(n)
+                    val = table[n % q]
                     if key in classes and abs(classes[key] - val) > 1e-12:
                         ok = False
                         break
@@ -157,8 +157,7 @@ def test_conductor_via_factorization_oracle():
                     break
             at = chi.exponents if chi.exponents else (0,)
             assert grid[at] == cond, (q, chi.exponents)
-            assert chi.conductor == cond, (q, chi.exponents)
-            assert chi.is_primitive == (cond == q)
+            assert mask[at] == (cond == q), (q, chi.exponents)
 
 
 def test_conductor_grid_matches_per_character():
@@ -173,17 +172,6 @@ def test_conductor_grid_matches_per_character():
             want = _exponent_conductor(group, chi.exponents)
             got = grid[chi.exponents] if chi.exponents else grid.reshape(-1)[0]
             assert got == want, (q, chi.exponents)
-            assert chi.conductor == want, (q, chi.exponents)
-
-
-def test_conductor_grid_built_once_per_group():
-    group = build_group(45)
-    grid = conductor_grid(group)
-    assert conductor_grid(group) is grid
-    assert not grid.flags.writeable
-    primitive_characters(group)
-    assert enumerate_characters(group)[7].conductor == grid.reshape(-1)[7]
-    assert conductor_grid(group) is grid
 
 
 def test_primitive_mask_is_the_grid_at_q():
@@ -207,10 +195,12 @@ def test_primitive_characters_order_matches_filtered_enumeration():
 
 
 def test_parity_matches_exponent_formula():
+    # chi(-1), read from the value table, is the sign of the exponent rule
     for q in range(1, 201):
         group = build_group(q)
         for chi in enumerate_characters(group):
-            assert chi.parity == _exponent_parity(group, chi.exponents), (
+            val = chi.value_table()[-1 % q]
+            assert abs(val - _exponent_parity(group, chi.exponents)) < 1e-12, (
                 q, chi.exponents)
 
 
@@ -269,7 +259,7 @@ def test_lazy_tables_match_eager_construction():
     # reads neither)
     for q in range(1, 301):
         group = build_group(q)
-        principal_character(group).value_table()
+        enumerate_characters(group)[0].value_table()
         built = "exp_vectors" in vars(group) and "root_table" in vars(group)
         assert built == (q > 1), q
         if group.orders:
@@ -311,13 +301,16 @@ def test_mod_8_conductors():
 
 def test_parity_and_order():
     for q in (3, 4, 5, 8, 12):
-        for chi in enumerate_characters(build_group(q)):
-            val = chi.evaluate(q - 1)  # chi(-1)
-            assert abs(val - chi.parity) < 1e-12
-            assert chi.parity in (1, -1)
-            # order divides phi(q): chi^order = principal
-            n = 3 if math.gcd(3, q) == 1 else (q + 1 if math.gcd(q + 1, q) == 1 else 1)
-            assert abs(chi.evaluate(n) ** chi.order - 1.0) < 1e-10
+        group = build_group(q)
+        for chi in enumerate_characters(group):
+            table = chi.value_table()
+            val = table[q - 1]  # chi(-1)
+            assert abs(val - _exponent_parity(group, chi.exponents)) < 1e-12
+            assert abs(val.imag) < 1e-12 and abs(abs(val.real) - 1.0) < 1e-12
+            # the order of chi divides the group exponent: chi^L = principal
+            for n in range(1, q):
+                if math.gcd(n, q) == 1:
+                    assert abs(table[n] ** group.exponent - 1.0) < 1e-10
 
 
 def test_group_rejects_bad_modulus():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ekconst import (DEFAULT_EM_TERMS, EULER_GAMMA, CacheCorruption,
-                     ConductorCache, ConductorTotal, build_group,
+                     ConductorCache, build_group,
                      conductor_grid, conductor_totals, divisors, gamma_q,
                      precision_tag, primitive_characters, scan_range,
                      stieltjes_pair_table, totient)
@@ -42,14 +42,15 @@ def test_gamma_2m_equals_gamma_m_for_odd_m(shared_cache):
 def test_conductor_total_matches_scalar_characters(shared_cache):
     # dual route: batched group DFT vs per-character digamma evaluation
     for d in (3, 4, 5, 7, 8, 9, 12, 16, 40):
-        (rec,) = conductor_totals([d])
+        ((q, total, imag_residual),) = conductor_totals([d])
+        assert q == d
         scalar = [l_values(chi).logderiv
                   for chi in primitive_characters(build_group(d))]
         want = math.fsum(v.real for v in scalar)
         imag = math.fsum(v.imag for v in scalar)
-        assert rec.total == pytest.approx(want, abs=1e-11), d
+        assert total == pytest.approx(want, abs=1e-11), d
         assert abs(imag) < 1e-11, d
-        assert rec.imag_residual == pytest.approx(0.0, abs=1e-10)
+        assert imag_residual == pytest.approx(0.0, abs=1e-10)
 
 
 def test_gamma_q_is_sum_over_conductors(shared_cache):
@@ -57,7 +58,7 @@ def test_gamma_q_is_sum_over_conductors(shared_cache):
         rec = gamma_q(q, shared_cache)
         total = [EULER_GAMMA]
         for d in (d for d in range(2, q + 1) if q % d == 0):
-            total.append(conductor_totals([d])[0].total)
+            total.append(conductor_totals([d])[0][1])
         assert rec.value == pytest.approx(math.fsum(total), abs=1e-13)
         assert rec.q == q
         assert rec.tag == precision_tag(DEFAULT_EM_TERMS)
@@ -93,9 +94,7 @@ def test_known_small_values(shared_cache):
 
 
 def test_no_primitive_layer_conductor_2_mod_4():
-    (rec,) = conductor_totals([6])
-    assert rec.total == 0.0
-    assert rec.imag_residual == 0.0
+    assert conductor_totals([6]) == [(6, 0.0, 0.0)]
 
 
 # ------------------------------------------- batched conductor totals
@@ -107,13 +106,12 @@ def _per_table_total(q, n_terms):
     replaced, kept as its oracle. Its epilogue is the per-conductor one the
     batch replaced in turn: two inverse FFTs, the characters where
     conductor_grid equals q, and one exact sum per part."""
-    tag = precision_tag(n_terms)
     if q == 1:
-        return ConductorTotal(q=1, total=0.0, imag_residual=0.0, tag=tag)
+        return (1, 0.0, 0.0)
     group = build_group(q)
     mask = conductor_grid(group) == q
     if not mask.any():
-        return ConductorTotal(q=q, total=0.0, imag_residual=0.0, tag=tag)
+        return (q, 0.0, 0.0)
     g0, g1, _ = stieltjes_pair_table(q, n_terms)
     grid = group.unit_grid
     big0 = np.fft.ifftn(g0[grid - 1]) * group.phi
@@ -122,13 +120,13 @@ def _per_table_total(q, n_terms):
     sel1 = big1[mask]
     assert float(np.min(np.abs(sel0))) / q > MIN_ABS_L
     logderiv = -math.log(q) - sel1 / sel0
-    return ConductorTotal(q=q, total=math.fsum(logderiv.real.tolist()),
-                          imag_residual=abs(math.fsum(logderiv.imag.tolist())),
-                          tag=tag)
+    return (q, math.fsum(logderiv.real.tolist()),
+            abs(math.fsum(logderiv.imag.tolist())))
 
 
-def _bits(rec):
-    return (rec.q, rec.total.hex(), rec.imag_residual.hex(), rec.tag)
+def _bits(row):
+    q, total, imag_residual = row
+    return (q, total.hex(), imag_residual.hex())
 
 
 def test_small_l_value_raises_at_its_conductor(monkeypatch):
@@ -227,33 +225,42 @@ def test_gamma_q_rejects_bad_modulus(shared_cache):
 # ----------------------------------------------------------------- cache
 
 
-def _sample_records():
-    return [
-        ConductorTotal(q=3, total=0.3681816159960602, imag_residual=1.2e-17,
-                       tag="em50"),
-        ConductorTotal(q=4, total=0.2456095847827511, imag_residual=-3.4e-18,
-                       tag="em50"),
-    ]
+#: (q, total, imag_residual) rows of an em50 cache, and the same rows as
+#: its records() lists them
+_SAMPLE_ROWS = [(3, 0.3681816159960602, 1.2e-17),
+                (4, 0.2456095847827511, -3.4e-18)]
+_SAMPLE_RECORDS = [((q, "em50"), (total, imag))
+                   for q, total, imag in _SAMPLE_ROWS]
+
+
+def _em50(path, **kwargs):
+    return ConductorCache(path, n_terms=50, **kwargs)
+
+
+def _record_bits(records):
+    return [(q, tag, total.hex(), imag.hex())
+            for (q, tag), (total, imag) in records]
 
 
 def test_cache_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "conductors.csv"
-    cache = ConductorCache(path)
-    for rec in _sample_records():
-        cache.put(rec)
+    cache = _em50(path)
+    for row in _SAMPLE_ROWS:
+        cache.put(*row)
     cache.save()
-    reloaded = ConductorCache(path, n_terms=50)
+    reloaded = _em50(path)
     assert len(reloaded) == 2
-    for rec in _sample_records():
-        got = reloaded.get(rec.q)
-        assert got == rec  # dataclass equality: floats must be identical
+    for q, total, imag in _SAMPLE_ROWS:
+        got = reloaded.get(q)
+        assert [v.hex() for v in got] == [total.hex(), imag.hex()]
+    assert _record_bits(reloaded.records()) == _record_bits(_SAMPLE_RECORDS)
 
 
 def test_cache_save_is_sorted_and_lf(tmp_path):
     path = tmp_path / "conductors.csv"
-    cache = ConductorCache(path)
-    for rec in reversed(_sample_records()):
-        cache.put(rec)
+    cache = _em50(path)
+    for row in reversed(_SAMPLE_ROWS):
+        cache.put(*row)
     cache.save()
     raw = path.read_bytes()
     assert b"\r" not in raw
@@ -272,7 +279,7 @@ def test_cache_fill_reuses(tmp_path, monkeypatch):
     cache = ConductorCache(path)
     (first,) = cache.fill([5])
     rec = cache.get(5)
-    assert first.hex() == rec.total.hex()
+    assert first.hex() == rec[0].hex()
     monkeypatch.setattr(ekgamma, "conductor_totals", _refuse_totals)
     (again,) = cache.fill([5])
     assert first is again
@@ -291,10 +298,10 @@ def test_cache_distinguishes_precision_tags(tmp_path):
     assert em50.get(7) is None          # the em30 row is not em50's
     (b,) = em50.fill([7])
     assert (em30.tag, em50.tag) == ("em30", "em50")
-    rec_a, rec_b = em50.records()
-    assert (rec_a.tag, rec_b.tag) == ("em30", "em50")
-    assert a.hex() == rec_a.total.hex() == em30.get(7).total.hex()
-    assert b.hex() == rec_b.total.hex() == em50.get(7).total.hex()
+    (key_a, pair_a), (key_b, pair_b) = em50.records()
+    assert (key_a, key_b) == ((7, "em30"), (7, "em50"))
+    assert a.hex() == pair_a[0].hex() == em30.get(7)[0].hex()
+    assert b.hex() == pair_b[0].hex() == em50.get(7)[0].hex()
     assert len(em50) == 2
 
 
@@ -310,8 +317,9 @@ def test_caches_of_two_tags_keep_each_others_rows(tmp_path):
     want = [(q, tag) for q in (3, 4, 5, 7) for tag in ("em16", "em50")]
     # em50 saved last, so its merge holds every row of the file
     for cache in (em50, ConductorCache(path)):
-        assert [(r.q, r.tag) for r in cache.records()] == want
-    fresh = {tag: conductor_totals([3, 4, 5, 7], int(tag[2:]))
+        assert [key for key, _ in cache.records()] == want
+    fresh = {tag: [(total, imag) for _, total, imag in
+                   conductor_totals([3, 4, 5, 7], int(tag[2:]))]
              for tag in ("em16", "em50")}
     for cache in (em16, em50):
         assert [cache.get(q) for q in (3, 4, 5, 7)] == fresh[cache.tag]
@@ -330,9 +338,9 @@ def _swap_data_rows(text):
 ])
 def test_cache_corruption_detected(tmp_path, mangle, needs_q):
     path = tmp_path / "conductors.csv"
-    cache = ConductorCache(path)
-    for rec in _sample_records():
-        cache.put(rec)
+    cache = _em50(path)
+    for row in _SAMPLE_ROWS:
+        cache.put(*row)
     cache.save()
     path.write_text(mangle(path.read_text(encoding="ascii")),
                     encoding="ascii")
@@ -369,25 +377,28 @@ def test_cache_edge_rows_round_trip_bit_exact(tmp_path, newline):
                                    *_EDGE_ROWS[2:], "", ""]).encode("ascii")
                      + newline.encode("ascii"))
     loaded = ConductorCache(path)
-    copy = ConductorCache(tmp_path / "copy.csv", load=False)
-    for rec in loaded.records():
-        copy.put(rec)
-    copy.save()
-    assert copy.path.read_bytes() == canonical.encode("ascii")
-    reloaded = ConductorCache(copy.path)
+    # one cache per tag; the second save merges the first one's rows
+    copy_path = tmp_path / "copy.csv"
+    for tag in ("em16", "em50"):
+        copy = ConductorCache(copy_path, n_terms=int(tag[2:]), load=False)
+        for (q, row_tag), (total, imag) in loaded.records():
+            if row_tag == tag:
+                copy.put(q, total, imag)
+        copy.save()
+    assert copy_path.read_bytes() == canonical.encode("ascii")
+    reloaded = ConductorCache(copy_path)
 
-    def bits(recs):
-        return [(r.q, r.total.hex(), r.imag_residual.hex(), r.tag)
-                for r in recs]
     want = []
     for row in _EDGE_ROWS:
         q, total, imag, tag = row.split(",")
-        want.append((int(q), float(total).hex(), float(imag).hex(), tag))
+        want.append((int(q), tag, float(total).hex(), float(imag).hex()))
     for cache in (loaded, reloaded):
-        assert bits(cache.records()) == want
-        assert bits(ConductorCache(cache.path).records()) == want
-        assert bits(ConductorCache(cache.path, n_terms=int(tag[2:])).get(q)
-                    for q, _, _, tag in want) == want
+        assert _record_bits(cache.records()) == want
+        assert _record_bits(ConductorCache(cache.path).records()) == want
+        got = [(q, tag) + tuple(v.hex() for v in ConductorCache(
+                   cache.path, n_terms=int(tag[2:])).get(q))
+               for q, tag, _, _ in want]
+        assert got == want
 
 
 @pytest.mark.parametrize("defect", ["", "4,nan,0.0,em16\n"])
@@ -413,8 +424,8 @@ def test_cache_cleared_before_the_open_reads_as_empty(tmp_path, capsys,
     # it and before the open: the run sees an empty cache
     cache_dir = tmp_path / "cache"
     path = ConductorCache.default_path(cache_dir)
-    cache = ConductorCache(path)
-    cache.put(_sample_records()[0])
+    cache = _em50(path)
+    cache.put(*_SAMPLE_ROWS[0])
     cache.save()
     real_open = open
 
@@ -430,32 +441,24 @@ def test_cache_cleared_before_the_open_reads_as_empty(tmp_path, capsys,
     assert entry(["scan", "6", "--cache-dir", str(cache_dir)]) == 0
     capsys.readouterr()
     monkeypatch.undo()
-    assert [r.q for r in ConductorCache(path).records()] == list(range(2, 13))
+    assert [q for (q, _), _ in ConductorCache(path).records()] == list(
+        range(2, 13))
 
 
 def test_warm_load_and_scan_build_no_conductor_totals(tmp_path, monkeypatch):
-    # a structural guard on the warm path: the cache keeps float pairs,
-    # and neither its load nor a warm scan_range builds a row object
+    # a structural guard on the warm path: a warm scan_range computes no
+    # conductor total
     path = tmp_path / "conductors.csv"
     writer = ConductorCache(path)
     for q in range(2, 4097):
-        writer.put(ConductorTotal(q, 1.0 / q, 0.0, precision_tag(16)))
+        writer.put(q, 1.0 / q, 0.0)
     writer.save()
-    built = []
-    init = ConductorTotal.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args[0] if args else kwargs["q"])
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(ConductorTotal, "__init__", counted)
     monkeypatch.setattr(ekgamma, "conductor_totals", _refuse_totals)
     cache = ConductorCache(path)
     assert len(cache) == 4095
     records = scan_range(2048, cache)
     assert len(records) == 2048
-    assert built == []
-    assert cache.get(4096).total == 1.0 / 4096
-    assert built == [4096]      # the wrapper sees a row object being built
+    assert cache.get(4096) == (1.0 / 4096, 0.0)
 
 
 def test_cache_rejects_non_finite(tmp_path):
@@ -468,11 +471,11 @@ def test_cache_rejects_non_finite(tmp_path):
 
 def test_cache_verify_and_clear(tmp_path):
     path = tmp_path / "conductors.csv"
-    cache = ConductorCache(path)
-    cache.put(_sample_records()[0])
+    cache = _em50(path)
+    cache.put(*_SAMPLE_ROWS[0])
     cache.save()
     # a load parses and checks every row of the file
-    assert [r.q for r in ConductorCache(path).records()] == [3]
+    assert ConductorCache(path).records() == _SAMPLE_RECORDS[:1]
     ConductorCache(path, load=False).clear()
     assert not path.exists()
     assert len(ConductorCache(path)) == 0
@@ -480,7 +483,7 @@ def test_cache_verify_and_clear(tmp_path):
 
 def test_cache_save_requires_path():
     cache = ConductorCache(path=None)
-    cache.put(_sample_records()[0])
+    cache.put(*_SAMPLE_ROWS[0])
     with pytest.raises(ValueError):
         cache.save()
 
@@ -488,10 +491,10 @@ def test_cache_save_requires_path():
 def test_cache_atomic_no_partial_file_on_missing_dir(tmp_path):
     # parent dirs are created on save
     path = tmp_path / "deep" / "nested" / "conductors.csv"
-    cache = ConductorCache(path)
-    cache.put(_sample_records()[0])
+    cache = _em50(path)
+    cache.put(*_SAMPLE_ROWS[0])
     cache.save()
-    cache.put(_sample_records()[1])
+    cache.put(*_SAMPLE_ROWS[1])
     cache.save()
     assert path.exists()
     # no temp file of any name is left behind
@@ -501,11 +504,11 @@ def test_cache_atomic_no_partial_file_on_missing_dir(tmp_path):
 def test_cache_failed_save_keeps_file_and_leaves_no_temp(tmp_path,
                                                          monkeypatch):
     path = tmp_path / "conductors.csv"
-    cache = ConductorCache(path)
-    cache.put(_sample_records()[0])
+    cache = _em50(path)
+    cache.put(*_SAMPLE_ROWS[0])
     cache.save()
     before = path.read_bytes()
-    cache.put(_sample_records()[1])
+    cache.put(*_SAMPLE_ROWS[1])
 
     def fail(src, dst):
         raise OSError("disk full")
@@ -518,59 +521,58 @@ def test_cache_failed_save_keeps_file_and_leaves_no_temp(tmp_path,
 
 def test_cache_save_without_new_rows_leaves_file(tmp_path):
     path = tmp_path / "conductors.csv"
-    cache = ConductorCache(path)
-    cache.put(_sample_records()[0])
+    cache = _em50(path)
+    cache.put(*_SAMPLE_ROWS[0])
     cache.save()
     stranger = path.read_text(encoding="ascii") + "9,0.5,0.0,em50\n"
     path.write_text(stranger, encoding="ascii")
-    warm = ConductorCache(path)
-    warm.put(_sample_records()[0])       # already there: not a new row
+    warm = _em50(path)
+    warm.put(*_SAMPLE_ROWS[0])       # already there: not a new row
     warm.save()
     cache.save()
     assert path.read_text(encoding="ascii") == stranger
-    cache.put(_sample_records()[1])
+    cache.put(*_SAMPLE_ROWS[1])
     cache.save()
     # the file changed since cache saved it, so the save merges: the
     # stranger's row 9 survives next to the new row 4
-    assert [r.q for r in ConductorCache(path).records()] == [3, 4, 9]
+    assert [q for (q, _), _ in ConductorCache(path).records()] == [3, 4, 9]
 
 
 def test_cache_save_merges_rows_saved_since_load(tmp_path):
     path = tmp_path / "conductors.csv"
-    first, second = ConductorCache(path), ConductorCache(path)
-    first.put(_sample_records()[0])
+    first, second = _em50(path), _em50(path)
+    first.put(*_SAMPLE_ROWS[0])
     first.save()
-    second.put(_sample_records()[1])
+    second.put(*_SAMPLE_ROWS[1])
     second.save()
-    assert ConductorCache(path).records() == _sample_records()
-    assert second.records() == _sample_records()
+    assert ConductorCache(path).records() == _SAMPLE_RECORDS
+    assert second.records() == _SAMPLE_RECORDS
     assert [p.name for p in tmp_path.iterdir()] == ["conductors.csv"]
 
 
 def test_cache_merge_rejects_a_key_with_other_bits(tmp_path):
     path = tmp_path / "conductors.csv"
-    rec = _sample_records()[0]
-    first, second = ConductorCache(path), ConductorCache(path)
-    first.put(rec)
+    q, total, imag = _SAMPLE_ROWS[0]
+    first, second = _em50(path), _em50(path)
+    first.put(q, total, imag)
     first.save()
-    second.put(ConductorTotal(q=rec.q, total=rec.total,
-                              imag_residual=-rec.imag_residual, tag=rec.tag))
+    second.put(q, total, -imag)
     with pytest.raises(CacheCorruption) as info:
         second.save()
-    assert info.value.q == rec.q
-    assert ConductorCache(path).records() == [rec]
+    assert info.value.q == q
+    assert ConductorCache(path).records() == _SAMPLE_RECORDS[:1]
     # the same bits under the same key merge quietly
-    third = ConductorCache(path=path, load=False)
-    third.put(rec)
-    third.put(_sample_records()[1])
+    third = _em50(path=path, load=False)
+    third.put(q, total, imag)
+    third.put(*_SAMPLE_ROWS[1])
     third.save()
-    assert ConductorCache(path).records() == _sample_records()
+    assert ConductorCache(path).records() == _SAMPLE_RECORDS
 
 
 def test_cache_save_without_new_rows_takes_no_lock(tmp_path, monkeypatch):
     path = tmp_path / "conductors.csv"
-    cache = ConductorCache(path)
-    cache.put(_sample_records()[0])
+    cache = _em50(path)
+    cache.put(*_SAMPLE_ROWS[0])
     cache.save()
     stamp = path.stat().st_mtime_ns
 
@@ -609,7 +611,7 @@ def test_cache_concurrent_writers_keep_every_row(tmp_path, capsys):
     for proc in procs:
         assert proc.wait(timeout=120) == 0
     rows = ConductorCache(path).records()
-    assert [r.q for r in rows] == list(range(3, 123))
+    assert [q for (q, _), _ in rows] == list(range(3, 123))
     assert [p.name for p in tmp_path.iterdir()] == ["conductors.csv"]
     capsys.readouterr()
     assert entry(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
@@ -618,8 +620,8 @@ def test_cache_concurrent_writers_keep_every_row(tmp_path, capsys):
 
 def test_cache_file_mode_is_not_private(tmp_path):
     path = tmp_path / "conductors.csv"
-    cache = ConductorCache(path)
-    cache.put(_sample_records()[0])
+    cache = _em50(path)
+    cache.put(*_SAMPLE_ROWS[0])
     cache.save()
     assert path.stat().st_mode & 0o777 == 0o644
 

@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 from ekconst import (ConductorCache, EhProbeRecord, RatioBin, ScanRecord,
                      build_tables, decompose, dyadic_mean, eh_probe, emit,
-                     experiments, gamma_q, parse_scan_csv, psi,
+                     experiments, gamma_q, psi,
                      ratio_histogram, render, residue_sum_check,
                      residue_sum_checks, scan_range, theorem_statistic)
 from ekconst import ekgamma, sieve
-from ekconst.experiments import (HISTOGRAM_HEADER, PER_M_HEADER,
-                                 PROBE_HEADER, SCAN_HEADER)
+from ekconst.experiments import PER_M_HEADER, PROBE_HEADER, SCAN_HEADER
 from sieve_oracle import plain_sieve
 
 
@@ -173,12 +172,12 @@ def test_fill_pooled_stores_the_serial_rows():
     qs = [97, 5, 720, *range(1, 30), 12, 5]    # unsorted, repeated
     serial, pooled = ConductorCache(path=None), ConductorCache(path=None)
 
-    def bits(recs):
-        return [(r.q, r.total.hex(), r.imag_residual.hex(), r.tag)
-                for r in recs]
+    def bits(records):
+        return [(key, total.hex(), imag.hex())
+                for key, (total, imag) in records]
     got = [t.hex() for t in pooled.fill(qs, workers=2)]
     want = [t.hex() for t in serial.fill(qs, workers=1)]
-    assert got == want == [serial.get(q).total.hex() for q in qs]
+    assert got == want == [serial.get(q)[0].hex() for q in qs]
     assert bits(pooled.records()) == bits(serial.records())
 
 
@@ -193,8 +192,7 @@ def test_cold_fill_chunks_cost_the_same(recording_pool, monkeypatch, cores):
     monkeypatch.setattr(ekgamma, "_core_count", lambda: cores)
     monkeypatch.setattr(
         ekgamma, "conductor_totals",
-        lambda qs, n_terms: [ekgamma.ConductorTotal(q, 0.0, 0.0, "stub")
-                             for q in qs])
+        lambda qs, n_terms: [(q, 0.0, 0.0) for q in qs])
     scan_range(2048, ConductorCache(path=None), workers=cores)
     chunks = _RecordingPool.chunks
     assert recording_pool == [(cores, cores * ekgamma.CHUNKS_PER_WORKER)]
@@ -212,13 +210,13 @@ def test_fill_pooled_at_other_strides(recording_pool, monkeypatch, cores):
     qs = [97, 5, 720, *range(1, 30), 12, 5]    # unsorted, repeated
     serial, pooled = ConductorCache(path=None), ConductorCache(path=None)
 
-    def bits(recs):
-        return [(r.q, r.total.hex(), r.imag_residual.hex(), r.tag)
-                for r in recs]
+    def bits(records):
+        return [(key, total.hex(), imag.hex())
+                for key, (total, imag) in records]
     got = [t.hex() for t in pooled.fill(qs, workers=cores)]
     assert recording_pool == [(cores, cores * ekgamma.CHUNKS_PER_WORKER)]
     want = [t.hex() for t in serial.fill(qs, workers=1)]
-    assert got == want == [serial.get(q).total.hex() for q in qs]
+    assert got == want == [serial.get(q)[0].hex() for q in qs]
     assert bits(pooled.records()) == bits(serial.records())
 
 
@@ -781,14 +779,17 @@ def test_emit_parse_round_trip(tmp_path, shared_cache):
     records = scan_range(16, shared_cache)
     out = tmp_path / "scan.csv"
     emit(records, "csv", out)
-    back = parse_scan_csv(out)
-    assert len(back) == len(records)
-    for a, b in zip(records, back):
-        assert a.q == b.q
+    header, *rows = out.read_text(encoding="ascii").splitlines()
+    assert header == SCAN_HEADER
+    assert len(rows) == len(records)
+    for a, row in zip(records, rows):
+        q, gamma, log_q, ratio, abs_dev = row.split(",")
+        assert int(q) == a.q
         # 12 significant digits in the file
-        assert b.gamma_q == pytest.approx(a.gamma_q, rel=1e-11)
-        assert b.ratio == pytest.approx(a.ratio, rel=1e-11)
-        assert b.abs_dev == pytest.approx(a.abs_dev, rel=1e-11)
+        assert float(gamma) == pytest.approx(a.gamma_q, rel=1e-11)
+        assert float(log_q) == pytest.approx(a.log_q, rel=1e-11)
+        assert float(ratio) == pytest.approx(a.ratio, rel=1e-11)
+        assert float(abs_dev) == pytest.approx(a.abs_dev, rel=1e-11)
 
 
 def test_emit_is_deterministic(tmp_path, shared_cache):
@@ -804,7 +805,6 @@ def test_empty_scan_emits_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     emit([], "csv", out)
     assert out.read_text(encoding="ascii") == SCAN_HEADER + "\n"
-    assert parse_scan_csv(out) == []
 
 
 def test_scan_json_round_trip(tmp_path, shared_cache):
@@ -855,17 +855,6 @@ def test_per_m_path_rejected_for_non_probe(tmp_path):
     assert not (tmp_path / "b.csv").exists()
 
 
-def test_histogram_emission(tmp_path):
-    bins = ratio_histogram(_toy_records(), bins=2)
-    out = tmp_path / "hist.csv"
-    emit(bins, "csv", out)
-    lines = out.read_text(encoding="ascii").split("\n")
-    assert lines[0] == HISTOGRAM_HEADER
-    assert lines[1] == "-inf,0,1"
-    data = json.loads(render(bins, "json"))
-    assert [b["count"] for b in data] == [b.count for b in bins]
-
-
 def test_unknown_format_and_payload_rejected(tmp_path):
     with pytest.raises(ValueError):
         render(_toy_records(), "yaml")
@@ -879,24 +868,9 @@ def test_unknown_format_and_payload_rejected(tmp_path):
     [ScanRecord(3, 1.0, 1.0, 1.0, 0.0), 1],
     (RatioBin(0.0, 1.0, 2), "bin"),
     [RatioBin(0.0, 1.0, 2), ScanRecord(3, 1.0, 1.0, 1.0, 0.0)],
+    [RatioBin(0.0, 1.0, 2)],     # no command emits a histogram
 ])
 def test_render_checks_every_element(payload):
     with pytest.raises(TypeError, match="cannot emit payload"):
         render(payload, "csv")
 
-
-def test_parse_scan_csv_rejects_bad_header(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("not,a,scan,file\n1,2,3,4\n", encoding="ascii")
-    with pytest.raises(ValueError):
-        parse_scan_csv(bad)
-    gone = tmp_path / "missing.csv"
-    with pytest.raises(OSError):
-        parse_scan_csv(gone)
-
-
-def test_parse_scan_csv_rejects_short_row(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(SCAN_HEADER + "\n3,1.0,1.0\n", encoding="ascii")
-    with pytest.raises(ValueError):
-        parse_scan_csv(bad)

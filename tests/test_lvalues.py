@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ekconst import (build_group, enumerate_characters, l_at_one,
-                     primitive_characters, principal_character)
+                     primitive_characters)
 from lvalue_oracle import l_values, phi_chi
 
 
@@ -53,9 +53,9 @@ def test_l_one_real_cubic_character():
 
 def test_principal_character_rejected():
     with pytest.raises(ValueError):
-        l_at_one(principal_character(build_group(5)))
+        l_at_one(enumerate_characters(build_group(5))[0])
     with pytest.raises(ValueError):
-        l_values(principal_character(build_group(4)))
+        l_values(enumerate_characters(build_group(4))[0])
 
 
 def test_conjugate_symmetry():

@@ -271,6 +271,20 @@ def test_streaming_equals_tables_bit_for_bit(tables_small, tables_big,
             psi_mod(tables_small, 99999, q, a), (q, a)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("stream", [psi_stream,
+                                    lambda x: psi_mod_stream(x, 4, 1)],
+                         ids=["psi_stream", "psi_mod_stream"])
+def test_streaming_rejects_non_finite_x(stream, x, tables_small):
+    # as psi does: a ValueError that names x, not an OverflowError or a
+    # message about int
+    with pytest.raises(ValueError, match=f"got {x}$"):
+        psi(tables_small, x)
+    with pytest.raises(ValueError, match=f"x must be finite and >= 1, "
+                                         f"got {x}$"):
+        stream(x)
+
+
 def test_streaming_equals_tables_at_the_cap():
     # the largest tables, 0.3 s and about 119 MB
     expected = psi(build_tables(MAX_TABLE_BOUND), MAX_TABLE_BOUND)
